@@ -7,8 +7,16 @@ format):
 * every request-log row is journaled to a hash-chained, day-segmented
   WAL as it is appended (fsync at each day seal), and
 * at every completed campaign day a :class:`CampaignCheckpoint` — the
-  full set of state the day's events mutated — is written atomically
-  next to the journal.
+  state the day's events mutated — is written atomically next to the
+  journal.
+
+Checkpoints form a chain.  The append-only parts of the state — the
+platform's new accounts/posts/pages, engagement suffixes and activity
+suffixes, and the sanitizer's sealed epochs and per-day samples — ship
+as deltas since the *previous* checkpoint, so day ``d``'s checkpoint is
+only usable on top of days ``1..d-1``.  Everything else (clock, RNG,
+tokens, limiter windows, networks, campaign cursors) is small and
+mutable, and every checkpoint carries it as a full snapshot.
 
 Resume protocol.  The campaign world is *rebuilt* deterministically by
 the caller (same seed, same build + pre-campaign sequence), never
@@ -20,21 +28,25 @@ the rebuilt base world, ``prepare`` then
 1. opens the journal, truncating any torn tail to the last intact
    record (never silently replayed — the recovery report says exactly
    what was dropped);
-2. picks the newest checkpoint the sealed journal still covers
-   (``checkpoint.journal_records`` must equal the journal's record
-   count through that day — a checkpoint that outran a chopped journal
-   is skipped);
+2. loads checkpoints ``day-00001``, ``day-00002``, ... in order until a
+   link is missing or torn (or passes the last sealed journal day),
+   and picks the newest day of that unbroken chain the sealed journal
+   still covers (``checkpoint.journal_records`` must equal the
+   journal's record count through that day — a checkpoint that outran
+   a chopped journal is skipped);
 3. replays the journal's rows back into the request log, byte for
    byte;
-4. installs the checkpoint overlay: clock, id counters, RNG streams,
-   token store, limiter windows, charge counters, fault-injector state,
+4. installs the platform deltas of days ``1..d`` in order, then the rest
+   of day ``d``'s overlay: clock, id counters, RNG streams, token
+   store, limiter windows, charge counters, fault-injector state,
    per-network state plus the ordered membership-op journal (replayed
    onto the rebuilt ``dead_members`` sets, reproducing their layout),
-   the platform delta (new accounts/posts/pages, engagement suffixes on
-   pre-existing objects, activity-log suffixes), shortener analytics
-   and the campaign's own series/ledger/cursors; and
-5. discards already-executed scheduler events and hands back the first
-   day still to run.
+   shortener analytics, the campaign's own series/ledger/cursors,
+   telemetry, and the sanitizer trace (day 1's full export extended by
+   the later days' deltas);
+5. re-derives the delta marks from the restored state, discards
+   already-executed scheduler events and hands back the first day
+   still to run.
 
 A resumed run's request log is byte-identical to an uninterrupted run's
 (``tests/test_campaign_resume.py`` kills a run with SIGKILL mid-day and
@@ -71,12 +83,13 @@ class RecoveryError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Base marks: platform sizes at campaign start, recomputed (not stored)
-# on resume — the rebuilt world reproduces them exactly.
+# Delta marks: platform sizes as of the previous checkpoint (campaign
+# start before day 1), recomputed (not stored) on resume — the restored
+# world reproduces them exactly.
 # ----------------------------------------------------------------------
 @dataclass
 class _PlatformMarks:
-    """Sizes of every platform registry when recording began."""
+    """Sizes of every platform registry at the previous checkpoint."""
 
     accounts: int
     posts: int
@@ -105,7 +118,13 @@ def _platform_marks(platform) -> _PlatformMarks:
 # ----------------------------------------------------------------------
 @dataclass
 class CampaignCheckpoint:
-    """Everything one campaign day mutated, as of the day boundary."""
+    """One link of the checkpoint chain, as of a day boundary.
+
+    ``platform`` and ``sanitizer`` hold only what the day appended since
+    the previous checkpoint, so they are usable only on top of days
+    ``1..day-1``; every other field is a full snapshot of small,
+    mutable state.
+    """
 
     day: int
     clock: int
@@ -125,6 +144,8 @@ class CampaignCheckpoint:
     #: sets (which are never pickled — see network._SHARD_SKIP_FIELDS).
     member_ops: Dict[str, List[Tuple[str, str]]]
     directory: dict
+    #: The platform delta since the previous checkpoint (see
+    #: :func:`_capture_platform`).
     platform: dict
     shortener: dict
     campaign: dict
@@ -132,21 +153,25 @@ class CampaignCheckpoint:
     #: resume so the recovered run's metrics converge on the
     #: uninterrupted reference.  None when telemetry is disabled.
     telemetry: Optional[dict]
-    #: ``SANITIZER.export_state()`` payload; installed wholesale on
-    #: resume (replacing the rebuild's re-recorded trace) so a resumed
-    #: run's shadow trace converges on the uninterrupted reference.
-    #: The export's chain fold is digest-neutral here because the
-    #: checkpoint sits at a day boundary (see SanitizerTrace._fold).
-    #: None when the sanitizer is disabled.
+    #: ``SANITIZER.export_state()`` payload: a full export on the first
+    #: checkpoint, a delta since the previous one after that.  On
+    #: resume the chain is installed in order (the full export replaces
+    #: the rebuild's re-recorded trace) so a resumed run's shadow trace
+    #: converges on the uninterrupted reference.  The export's chain
+    #: fold is digest-neutral here because the checkpoint sits at a day
+    #: boundary (see SanitizerTrace._fold).  None when the sanitizer is
+    #: disabled.
     sanitizer: Optional[dict] = None
 
 
 def _capture_platform(platform, base: _PlatformMarks) -> dict:
-    """The platform delta beyond the campaign-start base marks.
+    """The platform delta beyond the previous checkpoint's marks.
 
     Registries are insertion-ordered dicts, so "everything beyond the
-    base count" is a stable slice; engagement on pre-existing objects
-    ships as per-object suffixes.
+    marked count" is a stable slice; engagement on objects that already
+    existed ships as per-object suffixes.  Accounts, posts and pages
+    are never mutated after creation except through those appends, so
+    an object shipped whole on its first day stays exact.
     """
     accounts = list(platform.accounts.values())
     posts = list(platform.posts.values())
@@ -261,9 +286,12 @@ def _install_campaign(campaign, state: dict) -> None:
         honeypot.comment_post_ids[:] = comment_ids
 
 
-def capture_checkpoint(campaign, day: int, base: _PlatformMarks,
+def capture_checkpoint(campaign, day: int, marks: _PlatformMarks,
+                       sanitizer_marks: Optional[Dict[str, int]],
                        journal_records: int) -> CampaignCheckpoint:
-    """Snapshot everything campaign days 1..``day`` mutated."""
+    """Checkpoint campaign day ``day``: deltas beyond ``marks`` (and
+    ``sanitizer_marks``; None exports the full trace) plus full
+    snapshots of the small mutable state."""
     world = campaign.world
     directory = next(iter(campaign.networks.values())).directory
     return CampaignCheckpoint(
@@ -283,18 +311,45 @@ def capture_checkpoint(campaign, day: int, base: _PlatformMarks,
                     for domain, network in campaign.networks.items()},
         directory={"accounts": list(directory._accounts),
                    "counter": directory._counter},
-        platform=_capture_platform(world.platform, base),
+        platform=_capture_platform(world.platform, marks),
         shortener=_capture_shortener(world.shortener),
         campaign=_capture_campaign(campaign),
         telemetry=(TELEMETRY.export_state()
                    if TELEMETRY.enabled else None),
-        sanitizer=(SANITIZER.export_state()
+        sanitizer=(SANITIZER.export_state(since=sanitizer_marks)
                    if SANITIZER.enabled else None),
     )
 
 
-def install_checkpoint(campaign, checkpoint: CampaignCheckpoint) -> None:
-    """Overlay ``checkpoint`` onto a freshly rebuilt campaign world."""
+def _install_sanitizer_chain(payloads: List[Optional[dict]]) -> bool:
+    """Install the newest full sanitizer export and every delta after
+    it; False (nothing installed) when a link after it has no payload
+    (sanitizer off that day) or there is no full export at all."""
+    start = None
+    for index, payload in enumerate(payloads):
+        if payload is None:
+            start = None
+        elif payload["since"] is None:
+            start = index
+    if start is None:
+        return False
+    for payload in payloads[start:]:
+        SANITIZER.install_state(payload)
+    return True
+
+
+#: One chain link as resume keeps it: a checkpoint's ``platform`` and
+#: ``sanitizer`` deltas (the rest of a non-final link is superseded).
+_Link = Tuple[dict, Optional[dict]]
+
+
+def install_checkpoint(campaign, checkpoint: CampaignCheckpoint,
+                       chain: List[_Link]) -> bool:
+    """Overlay ``checkpoint`` onto a freshly rebuilt campaign world.
+
+    ``chain`` holds the deltas of days ``1..checkpoint.day`` in order.
+    Returns whether the sanitizer trace was restored.
+    """
     world = campaign.world
     world.clock.advance_to(checkpoint.clock)
     world.ids._counters = dict(checkpoint.ids)
@@ -309,7 +364,8 @@ def install_checkpoint(campaign, checkpoint: CampaignCheckpoint) -> None:
     world.api._charge_token_cache.clear()
     if checkpoint.faults is not None and world.faults is not None:
         world.faults.install_state(checkpoint.faults)
-    _install_platform(world.platform, checkpoint.platform)
+    for platform, _ in chain:
+        _install_platform(world.platform, platform)
     directory = next(iter(campaign.networks.values())).directory
     directory._accounts = list(checkpoint.directory["accounts"])
     directory._counter = checkpoint.directory["counter"]
@@ -326,11 +382,12 @@ def install_checkpoint(campaign, checkpoint: CampaignCheckpoint) -> None:
     _install_campaign(campaign, checkpoint.campaign)
     if checkpoint.telemetry is not None:
         TELEMETRY.install_state(checkpoint.telemetry)
-    if checkpoint.sanitizer is not None and SANITIZER.enabled:
-        SANITIZER.install_state(checkpoint.sanitizer)
+    restored = SANITIZER.enabled and _install_sanitizer_chain(
+        [sanitizer for _, sanitizer in chain])
     # Events the restored days already executed (e.g. milking follow-ups
     # scheduled into the campaign window) must not run twice.
     world.scheduler.discard_until(checkpoint.clock)
+    return restored
 
 
 # ----------------------------------------------------------------------
@@ -354,13 +411,18 @@ class CampaignRecovery:
         self.report: Optional[JournalRecovery] = None
         self.resumed_from_day: Optional[int] = None
         self.store: Optional[CheckpointStore] = None
-        self._base: Optional[_PlatformMarks] = None
+        #: Where the next checkpoint's deltas start: the platform and
+        #: sanitizer marks as of the previous checkpoint.  None
+        #: sanitizer marks make the next export a full one.
+        self._marks: Optional[_PlatformMarks] = None
+        self._sanitizer_marks: Optional[Dict[str, int]] = None
 
     # -- campaign.run() protocol ---------------------------------------
     def prepare(self, campaign) -> int:
         """Open/create the journal; returns the first day to run."""
         world = campaign.world
-        self._base = _platform_marks(world.platform)
+        self._marks = _platform_marks(world.platform)
+        self._sanitizer_marks = None
         for network in campaign.networks.values():
             if network._member_op_journal is None:
                 network._member_op_journal = []
@@ -389,24 +451,34 @@ class CampaignRecovery:
     def on_day_complete(self, campaign, campaign_day: int) -> None:
         self.journal.seal_day()
         checkpoint = capture_checkpoint(campaign, campaign_day,
-                                        self._base, self.journal.records)
+                                        self._marks, self._sanitizer_marks,
+                                        self.journal.records)
         # The checkpoint must carry the live token table verbatim — a
         # resumed run re-issues byte-identical Graph API calls against
         # the same tokens.  The store writes only to the experiment's
         # private checkpoint directory, never to exported artifacts.
         self.store.save(  # reprolint: disable=RL103 — durable resume image carries the live token table by design
             f"day-{campaign_day:05d}", checkpoint)
+        self._advance_marks(campaign)
         self._maybe_tear_tail(campaign, campaign_day)
 
     def finish(self, campaign) -> None:
         campaign.world.api.log.detach_journal()
 
     # -- resume internals ----------------------------------------------
+    def _advance_marks(self, campaign) -> None:
+        """Move the delta marks to the state just checkpointed."""
+        self._marks = _platform_marks(campaign.world.platform)
+        self._sanitizer_marks = (SANITIZER.epoch_marks()
+                                 if SANITIZER.enabled else None)
+
     def _fingerprint(self, campaign) -> dict:
         world = campaign.world
         config = campaign.config
         return {
-            "format": "repro-journal-v1",
+            # v2: checkpoints are a day-delta chain (v1 directories
+            # hold cumulative ones and must not be read as a chain).
+            "format": "repro-journal-v2",
             "seed": world.rng.master_seed,
             "scale": world.config.scale,
             "days": config.days,
@@ -418,17 +490,24 @@ class CampaignRecovery:
     def _try_resume(self, campaign, fingerprint: dict) -> int:
         journal, report = EventJournal.open(self.directory)
         self.report = report
+        if journal.meta.get("format") != fingerprint["format"]:
+            raise RecoveryError(
+                f"journal at {self.directory} was written in format "
+                f"{journal.meta.get('format')!r}, but this version "
+                f"resumes only {fingerprint['format']!r} (per-day delta "
+                f"checkpoints); start it over without resuming")
         if journal.meta != fingerprint:
             raise RecoveryError(
                 f"journal at {self.directory} belongs to a different "
                 f"campaign configuration ({journal.meta!r} != "
                 f"{fingerprint!r})")
-        checkpoint = self._latest_covered_checkpoint(journal)
-        if checkpoint is None:
+        found = self._latest_covered_checkpoint(journal)
+        if found is None:
             # Sealed days without a usable checkpoint (e.g. the crash
             # landed between seal and checkpoint write on day 1):
             # nothing to resume from, start over on a fresh journal.
             return 1
+        checkpoint, chain = found
         journal.drop_days_after(checkpoint.day)
         log = campaign.world.api.log
         rows = list(journal.replay_rows())
@@ -438,31 +517,38 @@ class CampaignRecovery:
                 f"{checkpoint.day} checkpoint recorded "
                 f"{checkpoint.journal_records}")
         log.append_exported(rows)
-        install_checkpoint(campaign, checkpoint)
+        restored = install_checkpoint(campaign, checkpoint, chain)
+        self._advance_marks(campaign)
+        if not restored:
+            # The live trace is not the chain's: the next checkpoint
+            # must start a new sanitizer chain with a full export.
+            self._sanitizer_marks = None
         self.journal = journal
         self.resumed_from_day = checkpoint.day + 1
         return checkpoint.day + 1
 
     def _latest_covered_checkpoint(
-            self, journal: EventJournal) -> Optional[CampaignCheckpoint]:
-        days = []
-        for name in self.store.completed():
-            if name.startswith("day-"):
-                try:
-                    days.append(int(name[4:]))
-                except ValueError:
-                    continue
-        for day in sorted(days, reverse=True):
-            if day > journal.last_sealed_day:
-                continue
+            self, journal: EventJournal
+    ) -> Optional[Tuple[CampaignCheckpoint, List[_Link]]]:
+        """The newest checkpoint of the unbroken chain from day 1 that
+        the sealed journal covers, with the chain's deltas through it.
+
+        Links load in day order; a missing or torn one ends the chain,
+        since every later day's deltas build on it.
+        """
+        chain: List[_Link] = []
+        best: Optional[CampaignCheckpoint] = None
+        for day in range(1, journal.last_sealed_day + 1):
             checkpoint = self.store.load(f"day-{day:05d}")
             if checkpoint is MISSING:
-                continue
-            if checkpoint.journal_records != journal.records_through_day(
+                break
+            chain.append((checkpoint.platform, checkpoint.sanitizer))
+            if checkpoint.journal_records == journal.records_through_day(
                     day):
-                continue
-            return checkpoint
-        return None
+                best = checkpoint
+        if best is None:
+            return None
+        return best, chain[:best.day]
 
     # -- torn-tail chaos -----------------------------------------------
     def _torn_marker_path(self) -> str:

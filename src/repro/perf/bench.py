@@ -108,11 +108,12 @@ def _wave_histograms(snapshot: Dict[str, Any]) -> Dict[str, Any]:
     from repro.telemetry.export import histogram_quantiles
 
     out: Dict[str, Any] = {}
-    for name, labels, bounds, buckets, total in snapshot["histograms"]:
+    for name, labels, bounds, buckets, total, maximum in (
+            snapshot["histograms"]):
         if name not in ("wave_size", "wave_limiter_denials"):
             continue
         stage = dict(tuple(pair) for pair in labels).get("stage", "")
-        entry = histogram_quantiles(bounds, buckets)
+        entry = histogram_quantiles(bounds, buckets, maximum=maximum)
         entry["sum"] = total
         out.setdefault(name, {})[stage or "(none)"] = entry
     return out
@@ -317,12 +318,15 @@ if PERF is not None and PERF.seconds("detection") > 0:
 histograms = {}
 if TELEMETRY is not None:
     from repro.telemetry.export import histogram_quantiles
-    for name, labels, bounds, buckets, total in (
-            TELEMETRY.snapshot()["histograms"]):
+    for row in TELEMETRY.snapshot()["histograms"]:
+        name, labels, bounds, buckets, total = row[:5]
         if name not in ("wave_size", "wave_limiter_denials"):
             continue
         stage = dict(tuple(pair) for pair in labels).get("stage", "")
-        entry = histogram_quantiles(bounds, buckets)
+        # Trees that predate exact histogram maxima have 5-field rows
+        # and a histogram_quantiles without ``maximum``.
+        extra = {"maximum": row[5]} if len(row) > 5 else {}
+        entry = histogram_quantiles(bounds, buckets, **extra)
         entry["sum"] = total
         histograms.setdefault(name, {})[stage or "(none)"] = entry
 

@@ -296,42 +296,70 @@ class SanitizerTrace:  # reprolint: disable=RL401 — enabled is session wiring 
     # ------------------------------------------------------------------
     # State transfer (checkpoints; resume convergence)
     # ------------------------------------------------------------------
-    def export_state(self) -> dict:
-        """Full picklable snapshot (pending bytes folded first, which
-        is digest-neutral: fold points depend only on event counts)."""
+    def export_state(self, since: Optional[Dict[str, int]] = None
+                     ) -> dict:
+        """Picklable snapshot (pending bytes folded first, which is
+        digest-neutral: fold points depend only on event counts).
+
+        With ``since`` — the :meth:`epoch_marks` taken right after an
+        earlier export — the append-only parts ship as deltas: epochs
+        beyond each stream's marked count, and samples only for days
+        that could have changed since, i.e. those the new epochs closed
+        plus the open day.  A day gains samples only while it is its
+        stream's open day, and leaving it always appends its epoch.
+        """
         streams = {}
         for name, state in self._streams.items():
             state.chain = _fold(state.chain, state.pending)
+            epochs, samples = state.epochs, state.samples
+            if since is not None:
+                epochs = epochs[since.get(name, 0):]
+                changed = {epoch[0] for epoch in epochs} | {state.day}
+                samples = {day: entries for day, entries in samples.items()
+                           if day in changed}
             streams[name] = {
                 "day": state.day,
                 "seq": state.seq,
                 "total": state.total,
                 "chain": state.chain,
-                "epochs": list(state.epochs),
+                "epochs": list(epochs),
                 "samples": {day: list(entries)
-                            for day, entries in state.samples.items()},
+                            for day, entries in samples.items()},
                 "stride": state.stride,
                 "ring": list(state.ring),
             }
         return {"streams": streams, "day": self._day,
-                "last_clock": self._last_clock}
+                "last_clock": self._last_clock, "since": since}
+
+    def epoch_marks(self) -> Dict[str, int]:
+        """Per-stream sealed-epoch counts: the ``since`` argument that
+        makes the next :meth:`export_state` a delta on the last one."""
+        return {name: len(state.epochs)
+                for name, state in self._streams.items()}
 
     def install_state(self, snapshot: dict) -> None:
-        """Restore an :meth:`export_state` snapshot wholesale."""
-        self._streams = {}
+        """Restore an :meth:`export_state` snapshot.
+
+        A full export replaces the trace wholesale; a delta export
+        (``since`` set) extends a trace holding the export it is a delta
+        on: epochs append, shipped sample days replace their old lists.
+        """
+        if snapshot["since"] is None:
+            self._streams = {}
         for name, data in snapshot["streams"].items():
-            state = _StreamState()
+            state = self._streams.get(name)
+            if state is None:
+                state = self._streams[name] = _StreamState()
             state.day = data["day"]
             state.seq = data["seq"]
             state.total = data["total"]
             state.chain = data["chain"]
             state.pending = bytearray()
-            state.epochs = list(data["epochs"])
-            state.samples = {day: list(entries)
-                             for day, entries in data["samples"].items()}
+            state.epochs.extend(data["epochs"])
+            for day, entries in data["samples"].items():
+                state.samples[day] = list(entries)
             state.stride = data["stride"]
             state.ring = deque(data["ring"], maxlen=RING_SIZE)
-            self._streams[name] = state
         self._day = snapshot["day"]
         self._last_clock = snapshot["last_clock"]
 

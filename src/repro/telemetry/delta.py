@@ -30,6 +30,8 @@ class TelemetryDelta:
     histograms: Dict[MetricKey, List[int]]
     #: Histogram sum increments.
     histogram_sums: Dict[MetricKey, int]
+    #: Histogram maxima raised during the component (max wins on merge).
+    histogram_maxes: Dict[MetricKey, int]
     #: Bucket bounds for any family first observed in the child.
     hist_bounds: Dict[str, Tuple[int, ...]]
 
@@ -66,11 +68,18 @@ def capture_delta(registry: TelemetryRegistry,
         for key, value in state["hist_sum"].items()  # type: ignore[union-attr]
         if value != base_sums.get(key, 0)
     }
+    base_maxes: Mapping[MetricKey, int] = base["hist_max"]  # type: ignore[assignment]
+    histogram_maxes = {
+        key: value
+        for key, value in state["hist_max"].items()  # type: ignore[union-attr]
+        if base_maxes.get(key) != value
+    }
     return TelemetryDelta(
         counters=counters,
         gauges=gauges,
         histograms=histograms,
         histogram_sums=histogram_sums,
+        histogram_maxes=histogram_maxes,
         hist_bounds=dict(state["hist_bounds"]),  # type: ignore[arg-type]
     )
 
@@ -102,3 +111,7 @@ def merge_delta(registry: TelemetryRegistry,
     sums = registry._hist_sum
     for key in sorted(delta.histogram_sums):
         sums[key] = sums.get(key, 0) + delta.histogram_sums[key]
+    maxes = registry._hist_max
+    for key, value in sorted(delta.histogram_maxes.items()):
+        if key not in maxes or value > maxes[key]:
+            maxes[key] = value

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry.registry import TelemetryRegistry
 from repro.telemetry.tracing import Span, Tracer
@@ -47,7 +47,7 @@ def prometheus_text(registry: TelemetryRegistry) -> str:
     for name, labels, value in snap["gauges"]:  # type: ignore[union-attr]
         _type_line(name, "gauge")
         lines.append(f"{name}{_render_labels(labels)} {value}")
-    for name, labels, bounds, buckets, total in (
+    for name, labels, bounds, buckets, total, _ in (
             snap["histograms"]):  # type: ignore[union-attr]
         _type_line(name, "histogram")
         cumulative = 0
@@ -82,13 +82,16 @@ def metrics_json(registry: TelemetryRegistry) -> Dict[str, object]:
 
 def histogram_quantiles(bounds: Sequence[int], buckets: Sequence[int],
                         percents: Sequence[int] = (50, 95, 99),
+                        maximum: Optional[int] = None,
                         ) -> Dict[str, object]:
     """Upper-bound quantile estimates from bucket counts.
 
     Integer arithmetic throughout: the pN is the upper bound of the
-    bucket holding the ceil(N% * count)-th observation, or None when
-    that observation overflowed the last bound.  Deterministic, so
-    quantiles are safe to bake into benchmark baselines.
+    bucket holding the ceil(N% * count)-th observation.  When that
+    observation overflowed the last bound, the overflow bucket's upper
+    bound is the series' exact ``maximum`` (None if not given).
+    Deterministic, so quantiles are safe to bake into benchmark
+    baselines.
     """
     total = sum(buckets)
     out: Dict[str, object] = {"count": total}
@@ -103,7 +106,8 @@ def histogram_quantiles(bounds: Sequence[int], buckets: Sequence[int],
         for index, count in enumerate(buckets):
             cumulative += count
             if cumulative >= rank:
-                value = (bounds[index] if index < len(bounds) else None)
+                value = (bounds[index] if index < len(bounds)
+                         else maximum)
                 break
         out[key] = value
     return out
@@ -129,8 +133,9 @@ def render_metrics(payload: Dict[str, object]) -> str:
     if histograms:
         lines.append("")
         lines.append("histograms:")
-        for name, labels, bounds, buckets, total in histograms:
-            quantiles = histogram_quantiles(bounds, buckets)
+        for name, labels, bounds, buckets, total, maximum in histograms:
+            quantiles = histogram_quantiles(bounds, buckets,
+                                            maximum=maximum)
             rendered = " ".join(
                 f"{key}={'inf' if val is None else val}"
                 for key, val in quantiles.items() if key != "count")

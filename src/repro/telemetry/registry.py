@@ -84,6 +84,9 @@ class TelemetryRegistry:  # reprolint: disable=RL401 — enabled/stages are proc
             DEFAULT_HISTOGRAMS)
         self._hist: Dict[MetricKey, List[int]] = {}
         self._hist_sum: Dict[MetricKey, int] = {}
+        #: Exact largest observation per histogram series, so a tail
+        #: quantile that lands past the last bound still has a value.
+        self._hist_max: Dict[MetricKey, int] = {}
         # Transient pipeline-stage tracker, fed by StageTimer's
         # listener hook; lets deep instrumentation points label
         # observations with the stage they ran under.
@@ -146,7 +149,11 @@ class TelemetryRegistry:  # reprolint: disable=RL401 — enabled/stages are proc
             buckets = [0] * (len(bounds) + 1)
             self._hist[key] = buckets
         buckets[bisect_left(bounds, value)] += 1
-        self._hist_sum[key] = self._hist_sum.get(key, 0) + int(value)
+        value = int(value)
+        self._hist_sum[key] = self._hist_sum.get(key, 0) + value
+        maximum = self._hist_max.get(key)
+        if maximum is None or value > maximum:
+            self._hist_max[key] = value
 
     def reset(self) -> None:
         """Drop all recorded series (enablement is left as-is)."""
@@ -154,6 +161,7 @@ class TelemetryRegistry:  # reprolint: disable=RL401 — enabled/stages are proc
         self._gauges.clear()
         self._hist.clear()
         self._hist_sum.clear()
+        self._hist_max.clear()
         self._hist_bounds = dict(DEFAULT_HISTOGRAMS)
 
     # -- reading -------------------------------------------------------
@@ -194,7 +202,8 @@ class TelemetryRegistry:  # reprolint: disable=RL401 — enabled/stages are proc
         histograms = [
             [name, [list(pair) for pair in labels],
              list(self._hist_bounds[name]), list(buckets),
-             self._hist_sum.get((name, labels), 0)]
+             self._hist_sum.get((name, labels), 0),
+             self._hist_max.get((name, labels))]
             for (name, labels), buckets in sorted(self._hist.items())
         ]
         return {"counters": counters, "gauges": gauges,
@@ -227,6 +236,7 @@ class TelemetryRegistry:  # reprolint: disable=RL401 — enabled/stages are proc
             "hist": {key: list(buckets)
                      for key, buckets in self._hist.items()},
             "hist_sum": dict(self._hist_sum),
+            "hist_max": dict(self._hist_max),
         }
 
     def install_state(self, state: Mapping[str, object]) -> None:
@@ -238,6 +248,7 @@ class TelemetryRegistry:  # reprolint: disable=RL401 — enabled/stages are proc
         self._hist = {key: list(buckets) for key, buckets
                       in state["hist"].items()}  # type: ignore[union-attr]
         self._hist_sum = dict(state["hist_sum"])  # type: ignore[arg-type]
+        self._hist_max = dict(state["hist_max"])  # type: ignore[arg-type]
 
 
 #: Process-global registry.  Forked shard workers inherit a memory

@@ -13,6 +13,7 @@ agree between the reference and resumed runs.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import signal
 import sys
@@ -60,6 +61,13 @@ def build(fault_plan=None):
     return world, CountermeasureCampaign(world, ecosystem, config)
 
 
+def ids_digest(ids) -> str:
+    """Count and digest of an ordered id sequence (``n:hex``)."""
+    ids = list(ids)
+    digest = hashlib.blake2b("\n".join(ids).encode(), digest_size=8)
+    return f"{len(ids)}:{digest.hexdigest()}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--journal", default=None)
@@ -104,12 +112,18 @@ def main() -> int:
 
             recovery.begin_day = begin_day
 
+    platform = world.platform
+    start_accounts, start_posts = len(platform.accounts), len(platform.posts)
     TELEMETRY.reset()
     TELEMETRY.enable()
     results = campaign.run(recovery=recovery)
     print("digest", world.api.log.digest())
     print("rows", len(world.api.log))
     print("resumed_from", results.resumed_from_day)
+    # Ids the campaign created, in creation order.
+    print("campaign_accounts",
+          ids_digest(list(platform.accounts)[start_accounts:]))
+    print("campaign_posts", ids_digest(list(platform.posts)[start_posts:]))
     print("telemetry_fingerprint",
           TELEMETRY.fingerprint(exclude_prefixes=FINGERPRINT_EXCLUDES))
     if recovery is not None:

@@ -9,13 +9,18 @@ disk, and digest comparison across process boundaries.
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
+import pickle
+import shutil
 import signal
 import subprocess
 import sys
 
 import pytest
+
+from tests.resume_driver import DAYS, ids_digest
 
 DRIVER = pathlib.Path(__file__).parent / "resume_driver.py"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -60,6 +65,7 @@ def sanitized_reference(tmp_path_factory):
     assert result.returncode == 0, result.stderr[-2000:]
     parsed = _parse(result.stdout)
     parsed["trace_dir"] = root / "trace"
+    parsed["journal_dir"] = root / "journal"
     return parsed
 
 
@@ -119,10 +125,14 @@ def test_sigkill_mid_day_then_resume_is_byte_identical(
             == sanitized_reference["sanitizer_fingerprint"])
     from repro.sanitizer import diff_manifests, load_manifest
 
-    diff = diff_manifests(
-        load_manifest(str(sanitized_reference["trace_dir"])),
-        load_manifest(str(tmp_path / "resumed-trace")))
+    reference_manifest = load_manifest(
+        str(sanitized_reference["trace_dir"]))
+    resumed_manifest = load_manifest(str(tmp_path / "resumed-trace"))
+    diff = diff_manifests(reference_manifest, resumed_manifest)
     assert diff.equal, diff.render()
+    # The differ reads per-day samples only to localise a divergence;
+    # the checkpoint chain must restore them (and the rings) exactly.
+    assert resumed_manifest == reference_manifest
 
 
 def test_torn_tail_is_detected_truncated_and_converges(tmp_path):
@@ -162,3 +172,77 @@ def test_fresh_run_over_existing_journal_starts_from_day_one(tmp_path,
     parsed = _parse(again.stdout)
     assert parsed["resumed_from"] == "None"
     assert parsed["digest"] == reference["digest"]
+
+
+def test_checkpoints_ship_each_days_new_platform_objects_once(
+        sanitized_reference):
+    """Each checkpoint's platform part is a delta on the previous one:
+    every account and post the campaign created ships in exactly one
+    day's checkpoint, and together the days ship all of them."""
+    checkpoints = sanitized_reference["journal_dir"] / "checkpoints"
+    account_ids, post_ids, days_with_posts = [], [], 0
+    for day in range(1, DAYS + 1):
+        with open(checkpoints / f"day-{day:05d}.pkl", "rb") as handle:
+            platform = pickle.load(handle).platform
+        account_ids += [a.account_id for a in platform["new_accounts"]]
+        post_ids += [post.post_id for post in platform["new_posts"]]
+        days_with_posts += bool(platform["new_posts"])
+    # Pairwise disjoint across days (and within one) ...
+    assert len(set(account_ids)) == len(account_ids)
+    assert len(set(post_ids)) == len(post_ids)
+    # ... and, concatenated in day order, exactly the campaign's
+    # creations in creation order.
+    assert ids_digest(account_ids) == sanitized_reference[
+        "campaign_accounts"]
+    assert ids_digest(post_ids) == sanitized_reference["campaign_posts"]
+    assert days_with_posts > 1
+
+
+def test_broken_checkpoint_link_ends_the_chain(tmp_path, reference):
+    """A later day's checkpoint is unusable without every earlier
+    link: a missing or torn link makes resume fall back to the day
+    before it, and the re-run days still converge."""
+    crashed_journal = tmp_path / "crashed"
+    crashed = _run_driver("--journal", crashed_journal, "--kill-day", 6)
+    assert crashed.returncode == -signal.SIGKILL, crashed.stderr[-2000:]
+
+    missing = tmp_path / "missing-link"
+    shutil.copytree(crashed_journal, missing)
+    (missing / "checkpoints" / "day-00002.pkl").unlink()
+
+    torn = tmp_path / "torn-link"
+    shutil.copytree(crashed_journal, torn)
+    link = torn / "checkpoints" / "day-00003.pkl"
+    with open(link, "r+b") as handle:
+        handle.truncate(link.stat().st_size // 2)
+
+    for journal, resumed_from in ((missing, "2"), (torn, "3")):
+        resumed = _run_driver("--journal", journal)
+        assert resumed.returncode == 0, resumed.stderr[-2000:]
+        parsed = _parse(resumed.stdout)
+        assert parsed["resumed_from"] == resumed_from
+        assert parsed["digest"] == reference["digest"]
+        assert parsed["rows"] == reference["rows"]
+        assert (parsed["campaign_accounts"]
+                == reference["campaign_accounts"])
+        assert parsed["campaign_posts"] == reference["campaign_posts"]
+
+
+def test_journal_in_the_cumulative_checkpoint_format_is_refused(
+        tmp_path):
+    """A directory written with ``repro-journal-v1`` holds cumulative
+    checkpoints; reading them as a delta chain would double-install
+    every earlier day, so resume must refuse it outright."""
+    journal = tmp_path / "journal"
+    first = _run_driver("--journal", journal, "--kill-day", 3)
+    assert first.returncode == -signal.SIGKILL, first.stderr[-2000:]
+    meta_path = journal / "meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    assert meta["format"] == "repro-journal-v2"
+    meta["format"] = "repro-journal-v1"
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+    resumed = _run_driver("--journal", journal)
+    assert resumed.returncode != 0
+    assert "RecoveryError" in resumed.stderr
+    assert "'repro-journal-v1'" in resumed.stderr

@@ -100,6 +100,42 @@ def test_histogram_bucketing_and_quantiles(registry):
     assert quantiles["p99"] is None  # overflow bucket
 
 
+def test_overflowing_tail_quantiles_report_the_exact_max(registry):
+    """wave_limiter_denials stops at 256: a tail past it reports the
+    largest observation, and the max survives export/install and the
+    shard delta merge."""
+    for value in (0, 3, 300, 1000, 700):
+        registry.observe("wave_limiter_denials", value, stage="campaign")
+    [row] = registry.snapshot()["histograms"]
+    name, _, bounds, buckets, total, maximum = row
+    assert (name, bounds[-1], buckets[-1], total) == (
+        "wave_limiter_denials", 256, 3, 2003)
+    assert maximum == 1000
+    quantiles = histogram_quantiles(bounds, buckets, maximum=maximum)
+    assert (quantiles["p50"], quantiles["p95"], quantiles["p99"]) == (
+        1000, 1000, 1000)
+    registry.observe("wave_limiter_denials", 1, stage="campaign")
+    registry.observe("wave_limiter_denials", 1, stage="campaign")
+    [row] = registry.snapshot()["histograms"]
+    quantiles = histogram_quantiles(row[2], row[3], maximum=row[5])
+    assert (quantiles["p50"], quantiles["p99"]) == (4, 1000)
+
+    resumed = TelemetryRegistry()
+    resumed.install_state(registry.export_state())
+    assert resumed.snapshot() == registry.snapshot()
+
+    base = registry.export_state()
+    registry.observe("wave_limiter_denials", 5000, stage="campaign")
+    serial = registry.snapshot()
+    delta = capture_delta(registry, base)
+    assert delta.histogram_maxes == {
+        ("wave_limiter_denials", (("stage", "campaign"),)): 5000}
+    parent = TelemetryRegistry()
+    parent.install_state(base)
+    merge_delta(parent, delta)
+    assert parent.snapshot() == serial
+
+
 def test_fingerprint_excludes_requested_families(registry):
     registry.count("wave_charges_total", 3)
     base = registry.fingerprint(exclude_prefixes=("shard_",))
