@@ -140,9 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     san_diff.add_argument("--ignore", action="append", default=[],
                           metavar="PREFIX",
                           help="exclude streams with this name prefix "
-                               "(repeatable); use '--ignore shard "
-                               "--ignore clock' when comparing a "
-                               "sharded against a serial run")
+                               "(repeatable); two runs of the same "
+                               "campaign compare every stream and "
+                               "need none")
     san_diff.add_argument("--json", action="store_true",
                           help="emit the divergence report as JSON")
     san_diff.add_argument("--out", type=str, default=None,
@@ -260,13 +260,6 @@ def _run_summary(artifacts, store, recovery) -> str:
     lines = ["run summary:"]
     lines.append(f"  experiment checkpoints: {store.hits} hit(s), "
                  f"{store.misses} miss(es)")
-    campaign = artifacts.campaign
-    if campaign is not None:
-        if campaign.shard_plan is not None:
-            lines.extend("  " + line for line
-                         in campaign.shard_plan.describe().splitlines())
-        for failure in campaign.shard_failures:
-            lines.append("  shard worker quarantined: " + failure)
     if recovery is not None:
         described = recovery.describe()
         if described:
@@ -376,12 +369,6 @@ def cmd_run(args) -> int:
             "checkpoint_misses": store.misses,
             "resumed_from_day": (campaign.resumed_from_day
                                  if campaign is not None else None),
-            "shard_blockers": (list(campaign.shard_plan.blockers)
-                               if campaign is not None
-                               and campaign.shard_plan is not None
-                               else []),
-            "shard_failures": (list(campaign.shard_failures)
-                               if campaign is not None else []),
             "log_rows": len(log),
             "log_digest": log.digest(),
         }

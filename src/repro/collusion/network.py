@@ -113,12 +113,11 @@ class MemberDirectory:
         return account.account_id
 
 
-# The three journal attributes are deliberately outside the __dict__
-# snapshot (_SHARD_SKIP_FIELDS): adopt_state replays the child's
-# drop journal onto the parent's own dead_members / operation journal,
-# so shipping the raw containers across the process boundary would
-# double-apply every entry.
-class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_shard_drop_journal/_member_op_journal are journal-replayed by adopt_state, never shipped raw
+# dead_members and _member_op_journal are deliberately outside the
+# __dict__ snapshot (_CHECKPOINT_SKIP_FIELDS): a checkpoint carries the
+# membership-op journal beside the snapshot, and recovery replays it
+# onto the rebuilt dead_members set instead of pickling the set.
+class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_member_op_journal are rebuilt by recovery from the checkpointed op journal, never shipped raw
     """One autoliker service wired into a simulated world."""
 
     def __init__(self, world, profile: CollusionNetworkProfile,
@@ -185,9 +184,6 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_shard_drop
         self.retry_policy = RetryPolicy()
         self._batch_fail_streak = 0
         self._batch_degraded_day = -1
-        # Drop journal for shard children (see export_state); None means
-        # not recording.
-        self._shard_drop_journal: Optional[List[str]] = None
         # Membership-op journal for campaign checkpoints: an ordered
         # record of every ("store", id) / ("drop", id) mutation of
         # ``dead_members`` since recording began.  A crash-recovery
@@ -334,8 +330,6 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_shard_drop
         self.dead_members.add(account_id)
         if self._member_op_journal is not None:
             self._member_op_journal.append(("drop", account_id))
-        if self._shard_drop_journal is not None:
-            self._shard_drop_journal.append(account_id)
 
     def refresh_all_tokens(self) -> int:
         """Re-harvest tokens from every member whose token is no longer
@@ -363,41 +357,33 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_shard_drop
         return self.member_count()
 
     # ------------------------------------------------------------------
-    # Shard transfer (see repro.countermeasures.sharding)
+    # Checkpoint snapshot (see repro.countermeasures.recovery)
     # ------------------------------------------------------------------
-    #: Fields never shipped across the shard process boundary: shared
-    #: subsystems owned by the parent world, immutable wiring, the
-    #: bound-method RNG shortcuts (rebuilt on adoption), and
-    #: ``dead_members`` — a set whose *iteration order* feeds the
-    #: replenishment join order, and which a pickle round-trip would
-    #: silently reorder (the rebuilt set lacks the original's internal
-    #: layout history).  Shard children journal their drops instead and
-    #: the parent replays the adds on its own set object, whose layout
-    #: matches the child's pre-fork.
-    _SHARD_SKIP_FIELDS = frozenset((
+    #: Fields a checkpoint snapshot never carries: shared subsystems
+    #: owned by the world, immutable wiring, the bound-method RNG
+    #: shortcuts (rebuilt on adoption), and ``dead_members`` — a set
+    #: whose *iteration order* feeds the replenishment join order, and
+    #: which a pickle round-trip would silently reorder (the rebuilt set
+    #: lacks the original's internal layout history).  Recovery replays
+    #: the membership-op journal onto a rebuilt set instead.
+    _CHECKPOINT_SKIP_FIELDS = frozenset((
         "world", "directory", "ip_pool", "app", "profile",
         "comment_dictionary", "_rng_random", "_getrandbits",
-        "dead_members", "_shard_drop_journal", "_member_op_journal",
+        "dead_members", "_member_op_journal",
     ))
 
     def export_state(self) -> dict:
         """Every mutable, network-owned field, as a picklable dict."""
-        skip = self._SHARD_SKIP_FIELDS
+        skip = self._CHECKPOINT_SKIP_FIELDS
         return {key: value for key, value in self.__dict__.items()
                 if key not in skip}
 
-    def adopt_state(self, state: dict,
-                    dropped: Sequence[str] = ()) -> None:
+    def adopt_state(self, state: dict) -> None:
         """Install :meth:`export_state` output (including the RNG, so
-        the adopted stream continues exactly where the shard left it).
-        ``dropped`` replays the shard's member drops, in order, onto
-        this process's own ``dead_members`` set."""
+        the adopted stream continues exactly where the snapshot left
+        it)."""
         self.__dict__.update(state)
         self._rng_random, self._getrandbits = hot_draw_bindings(self.rng)
-        for account_id in dropped:
-            self.dead_members.add(account_id)
-            if self._member_op_journal is not None:
-                self._member_op_journal.append(("drop", account_id))
 
     # ------------------------------------------------------------------
     # Sampling

@@ -41,13 +41,6 @@ from repro.countermeasures.clustering import (
 from repro.countermeasures.invalidation import TokenInvalidator
 from repro.countermeasures.iplimits import apply_ip_like_limits
 from repro.countermeasures.ratelimits import apply_reduced_token_limit
-from repro.countermeasures.sharding import (
-    DayEvent,
-    ShardPlan,
-    ShardSupervisor,
-    plan_shards,
-    run_sharded_day,
-)
 from repro.detection.synchrotrap import SynchroTrap
 from repro.honeypot.account import HoneypotAccount, create_honeypot
 from repro.honeypot.crawler import TimelineCrawler
@@ -87,13 +80,6 @@ class CampaignConfig:
     #: workload (charge-only path).  Ablations may disable it to study
     #: a single mechanism in isolation.
     background_serving: bool = True
-    #: Process-shard the in-day workload by collusion network.  Values
-    #: above 1 request sharding; it only engages when
-    #: :func:`repro.countermeasures.sharding.plan_shards` certifies the
-    #: network set as state-disjoint (the result's ``shard_plan`` says
-    #: whether it did, and why not otherwise).  Ineligible plans run the
-    #: ordinary serial path, byte-identical to ``shards = 1``.
-    shards: int = 1
     # Per-countermeasure switches (for ablations).
     enable_rate_limit: bool = True
     enable_invalidation: bool = True
@@ -178,12 +164,6 @@ class CampaignResults:
     interventions: List[Tuple[int, str]]
     clustering_outcomes: List[Tuple[int, ClusteringOutcome]]
     tokens_invalidated: int
-    #: The certified shard partition, when ``config.shards > 1`` asked
-    #: for one (None otherwise).
-    shard_plan: Optional[ShardPlan] = None
-    #: Human-readable records of quarantined shard children that were
-    #: re-executed serially by the supervisor.
-    shard_failures: List[str] = field(default_factory=list)
     #: Campaign day a crash-recovery resume restarted from (None for an
     #: uninterrupted run).
     resumed_from_day: Optional[int] = None
@@ -219,13 +199,6 @@ class CountermeasureCampaign:
             self.series[domain] = NetworkDailySeries(domain=domain)
         self.interventions: List[Tuple[int, str]] = []
         self.clustering_outcomes: List[Tuple[int, ClusteringOutcome]] = []
-        self.shard_plan: Optional[ShardPlan] = None
-        self.shard_supervisor = ShardSupervisor()
-        if self.config.shards > 1:
-            self.shard_plan = plan_shards(
-                self.networks,
-                outgoing_per_hour=self.config.outgoing_per_hour,
-                requested_shards=self.config.shards)
         self._start_day = world.clock.day()
         self._campaign_start_ts = world.clock.now()
 
@@ -257,9 +230,6 @@ class CountermeasureCampaign:
             interventions=self.interventions,
             clustering_outcomes=self.clustering_outcomes,
             tokens_invalidated=self.invalidator.total_invalidated,
-            shard_plan=self.shard_plan,
-            shard_failures=[failure.describe() for failure
-                            in self.shard_supervisor.failures],
             resumed_from_day=(recovery.resumed_from_day
                               if recovery is not None else None),
         )
@@ -280,13 +250,8 @@ class CountermeasureCampaign:
         likes_today = {domain: 0 for domain in self.networks}
         posts_today = {domain: 0 for domain in self.networks}
 
-        events = self._plan_day_events(day_start)
-        if self.shard_plan is not None and self.shard_plan.eligible:
-            run_sharded_day(self, self.shard_plan, events, day_start,
-                            likes_today, posts_today)
-        else:
-            self._schedule_day_events(events, likes_today, posts_today)
-            world.scheduler.run_until(day_start + DAY - 1)
+        self._schedule_day(day_start, likes_today, posts_today)
+        world.scheduler.run_until(day_start + DAY - 1)
 
         for honeypot in self.honeypots.values():
             self.crawler.crawl_incoming(honeypot)
@@ -303,9 +268,7 @@ class CountermeasureCampaign:
         TRACER.end(day_span)
 
     def _sample_window_occupancy(self) -> None:
-        """Day-end gauges over the limiter windows (parent only; the
-        sharded path has already merged the children's window state, so
-        serial and sharded runs sample identical occupancy)."""
+        """Day-end gauges over the limiter windows."""
         occupancy = self.world.api.enforcer.window_occupancy()
         for window in sorted(occupancy):
             keys, events = occupancy[window]
@@ -314,72 +277,45 @@ class CountermeasureCampaign:
             TELEMETRY.gauge_set("ratelimit_window_events", events,
                                 window=window)
 
-    def _plan_day_events(self, day_start: int) -> List[DayEvent]:
-        """Array-plan one day's workload before any of it executes.
+    def _schedule_day(self, day_start: int, likes_today: Dict[str, int],
+                      posts_today: Dict[str, int]) -> None:
+        """Enqueue one day's request / outgoing / serving events.
 
-        Produces the day's request / outgoing / serving events — with
-        their timestamps already drawn — in the exact per-network order
-        (and therefore the exact campaign-RNG draw order) the scheduling
-        loop used to produce while enqueueing thunks.  ``seq`` mirrors
-        the scheduler's submission tie-break, so executing the plan in
-        ``(when, seq)`` order is the serial trajectory.
+        Per network: the like requests, then the honeypot token's
+        hour-by-hour background use (the Fig. 7 signal), then the bulk
+        charge-only serving workload.  Each time is drawn from the
+        campaign stream as it is scheduled, so the draw order and the
+        scheduler's submission tie-break are one fixed sequence.
         """
-        events: List[DayEvent] = []
-        seq = 0
+        at = self.world.scheduler.at
         per_hour = self.config.outgoing_per_hour
         for domain, network in self.networks.items():
-            for when in self._request_times(day_start):
-                events.append(DayEvent(seq, when, "request", domain))
-                seq += 1
-            if per_hour > 0:
-                for hour in range(24):
-                    actions = self._poisson(per_hour)
-                    for _ in range(actions):
-                        when = (day_start + hour * HOUR
-                                + self.rng.randrange(HOUR))
-                        events.append(
-                            DayEvent(seq, when, "outgoing", domain))
-                        seq += 1
-            if network.background_serving_enabled:
-                total = network.profile.background_requests_per_day
-                if total > 0:
-                    hourly, remainder = divmod(total, 24)
-                    for hour in range(24):
-                        count = hourly + (1 if hour < remainder else 0)
-                        if count <= 0:
-                            continue
-                        when = (day_start + hour * HOUR
-                                + self.rng.randrange(HOUR))
-                        events.append(
-                            DayEvent(seq, when, "serving", domain, count))
-                        seq += 1
-        return events
-
-    def _schedule_day_events(self, events: List[DayEvent],
-                             likes_today: Dict[str, int],
-                             posts_today: Dict[str, int]) -> None:
-        """Enqueue a planned day on the world scheduler (serial path)."""
-        at = self.world.scheduler.at
-        for event in events:
-            domain = event.domain
-            network = self.networks[domain]
             honeypot = self.honeypots[domain]
-            if event.kind == "request":
-                at(event.when,
+            for when in self._request_times(day_start):
+                at(when,
                    lambda n=network, h=honeypot, d=domain:
                        self._submit_request(n, h, d, likes_today,
                                             posts_today),
                    label=f"cm-request:{domain}")
-            elif event.kind == "outgoing":
-                at(event.when,
-                   lambda n=network, h=honeypot:
-                       n.use_member_token_for_background(h.account_id, 1),
-                   label=f"cm-outgoing:{domain}")
-            else:
-                at(event.when,
-                   lambda n=network, c=event.count:
-                       n.serve_background_requests(c),
-                   label=f"cm-serving:{domain}")
+            if per_hour > 0:
+                for hour in range(24):
+                    for _ in range(self._poisson(per_hour)):
+                        at(day_start + hour * HOUR + self.rng.randrange(HOUR),
+                           lambda n=network, h=honeypot:
+                               n.use_member_token_for_background(
+                                   h.account_id, 1),
+                           label=f"cm-outgoing:{domain}")
+            total = network.profile.background_requests_per_day
+            if network.background_serving_enabled and total > 0:
+                hourly, remainder = divmod(total, 24)
+                for hour in range(24):
+                    count = hourly + (1 if hour < remainder else 0)
+                    if count <= 0:
+                        continue
+                    at(day_start + hour * HOUR + self.rng.randrange(HOUR),
+                       lambda n=network, c=count:
+                           n.serve_background_requests(c),
+                       label=f"cm-serving:{domain}")
 
     def _request_times(self, day_start: int) -> List[int]:
         """Spread the day's requests across a working window."""
@@ -390,25 +326,16 @@ class CountermeasureCampaign:
         return [window_start + i * step + self.rng.randrange(max(1, step // 2))
                 for i in range(count)]
 
-    def _create_request_post(self, honeypot: HoneypotAccount) -> str:
-        """Create the honeypot status post one like request targets.
-
-        Split from :meth:`_submit_request` so the sharded day can hoist
-        every post creation into the parent's pre-pass (pinning the
-        global id-allocator sequence) before the forked shards deliver.
-        """
-        post = self.world.platform.create_post(
-            honeypot.account_id,
-            f"campaign status #{len(honeypot.like_post_ids) + 1}")
-        honeypot.like_post_ids.append(post.post_id)
-        return post.post_id
-
     def _submit_request(self, network: CollusionNetwork,
                         honeypot: HoneypotAccount, domain: str,
                         likes_today: Dict[str, int],
                         posts_today: Dict[str, int]) -> None:
-        post_id = self._create_request_post(honeypot)
-        report = network.submit_like_request(honeypot.account_id, post_id)
+        post = self.world.platform.create_post(
+            honeypot.account_id,
+            f"campaign status #{len(honeypot.like_post_ids) + 1}")
+        honeypot.like_post_ids.append(post.post_id)
+        report = network.submit_like_request(honeypot.account_id,
+                                             post.post_id)
         posts_today[domain] += 1
         likes_today[domain] += report.delivered
 

@@ -141,7 +141,8 @@ class CampaignCheckpoint:
     networks: Dict[str, dict]
     #: Per-domain ordered ("store"|"drop", account_id) ops since the
     #: campaign started; replayed onto the rebuilt ``dead_members``
-    #: sets (which are never pickled — see network._SHARD_SKIP_FIELDS).
+    #: sets (which are never pickled — see
+    #: network._CHECKPOINT_SKIP_FIELDS).
     member_ops: Dict[str, List[Tuple[str, str]]]
     directory: dict
     #: The platform delta since the previous checkpoint (see

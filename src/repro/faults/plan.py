@@ -19,10 +19,6 @@ describing *one* failure mode injected into the Graph API data plane:
 ``chunk``
     an all-or-nothing ``execute_batch`` / ``charge_like_batch`` chunk
     fails wholesale, forcing the caller to degrade to scalar replay;
-``child_crash``
-    a forked shard worker SIGKILLs itself partway through its day — the
-    :class:`~repro.countermeasures.sharding.ShardSupervisor` must detect
-    the death and re-execute the component serially;
 ``torn_tail``
     the process "loses power" while sealing a journal day: trailing
     bytes are torn off the newest WAL segment and the run aborts with
@@ -36,9 +32,8 @@ request, in plan order, and the first hit wins.  Decisions are *keyed*
 hashes — ``blake2b(seed | namespace | key | draw#)`` with per-key draw
 counters — rather than a single sequential stream, so a decision
 depends only on its own subject's history (token, network, day), never
-on the global interleaving of other subjects' requests.  That is what
-lets a certified shard plan fork fault-injected components: each child
-reproduces exactly the draws its own tokens would have seen serially.
+on the global interleaving of other subjects' requests, and a resumed
+run that restores the draw counters decides exactly as before.
 The namespace seeds still come from the dedicated ``faults`` RNG
 streams, so a fixed plan remains fully deterministic under a fixed
 master seed and an absent plan consumes no randomness at all.
@@ -56,10 +51,7 @@ from repro.sim.clock import SimClock
 
 #: The failure modes a rule may inject.
 FAULT_KINDS = ("transient", "timeout", "rate_limit", "invalidate_token",
-               "chunk", "child_crash", "torn_tail")
-
-#: Kinds that are not per-request scalar decisions.
-_STRUCTURAL_KINDS = frozenset({"chunk", "child_crash", "torn_tail"})
+               "chunk", "torn_tail")
 
 #: Pseudo-action key used by the charge-only admission path (there is no
 #: ApiAction for it; see GraphApi.charge_like).
@@ -74,8 +66,8 @@ class FaultRule:
     (``end_day`` exclusive, ``None`` = forever).  ``actions`` restricts
     the rule to a set of Graph API action names (e.g. ``"LIKE_POST"``,
     ``"COMMENT"``, or :data:`CHARGE_ACTION` for the charge-only path);
-    ``None`` matches every action.  ``chunk``, ``child_crash`` and
-    ``torn_tail`` rules ignore ``actions``.
+    ``None`` matches every action.  ``chunk`` and ``torn_tail`` rules
+    ignore ``actions``.
     """
 
     kind: str
@@ -170,7 +162,7 @@ class FaultPlan:
 
 
 # The per-day rule caches (_cached_day/_scalar_rules/_chunk_rules/
-# _crash_rules/_torn_rules) are pure functions of the immutable plan
+# _torn_rules) are pure functions of the immutable plan
 # and the queried day, rebuilt on first use after any resume — they
 # carry no state a snapshot could lose.
 class FaultInjector:  # reprolint: disable=RL401 — *_rules/_cached_day are derived per-day caches rebuilt from the immutable plan
@@ -181,9 +173,8 @@ class FaultInjector:  # reprolint: disable=RL401 — *_rules/_cached_day are der
     Decisions are position-independent: every roll hashes a namespace
     seed, the subject key (access token, network domain or day) and a
     per-key draw counter, so a subject's fault trajectory depends only
-    on its *own* request history.  Serial and sharded execution — and a
-    resumed run that restores the draw counters from a checkpoint —
-    therefore produce identical decisions.  Injected faults are tallied
+    on its *own* request history.  A resumed run that restores the draw
+    counters from a checkpoint therefore produces identical decisions.  Injected faults are tallied
     in :attr:`counters` for the perf instrumentation layer.
     """
 
@@ -205,39 +196,32 @@ class FaultInjector:  # reprolint: disable=RL401 — *_rules/_cached_day are der
         # (fixed draw order => reproducible under a fixed master seed).
         self._seeds: Dict[str, int] = {
             "s": rng.getrandbits(64),
+            # Unused; still drawn so the "torn" seed keeps its value.
             "crash": rng.getrandbits(64),
             "torn": rng.getrandbits(64),
         }
         self._seeds["c"] = self.chunk_rng.getrandbits(64)
         #: Draw counters keyed by (namespace, subject key).
         self._draws: Dict[Tuple[str, str], int] = {}
-        #: Invalidations performed by this injector, in decision order —
-        #: shard children export the day's suffix so the parent can
-        #: replay them against its own token store.
-        self.invalidations: List[Tuple[str, str]] = []
         # Per-day active-rule cache, split by decision surface so the
         # hot paths only scan what can match them.
         self._cached_day = -1
         self._scalar_rules: List[FaultRule] = []
         self._chunk_rules: List[FaultRule] = []
-        self._crash_rules: List[FaultRule] = []
         self._torn_rules: List[FaultRule] = []
 
     def _refresh(self, day: int) -> None:
         self._cached_day = day
         scalar: List[FaultRule] = []
         chunk: List[FaultRule] = []
-        crash: List[FaultRule] = []
         torn: List[FaultRule] = []
-        buckets = {"chunk": chunk, "child_crash": crash,
-                   "torn_tail": torn}
+        buckets = {"chunk": chunk, "torn_tail": torn}
         for rule in self.plan.rules:
             if not rule.active_on(day):
                 continue
             buckets.get(rule.kind, scalar).append(rule)
         self._scalar_rules = scalar
         self._chunk_rules = chunk
-        self._crash_rules = crash
         self._torn_rules = torn
 
     def _count(self, kind: str) -> None:
@@ -280,8 +264,6 @@ class FaultInjector:  # reprolint: disable=RL401 — *_rules/_cached_day are der
                 if token is not None and not token.invalidated:
                     self.tokens.invalidate(access_token,
                                            reason="fault_injection")
-                    self.invalidations.append(
-                        (access_token, "fault_injection"))
             return kind
         return None
 
@@ -289,7 +271,8 @@ class FaultInjector:  # reprolint: disable=RL401 — *_rules/_cached_day are der
         """Whether an all-or-nothing batch of ``size`` requests fails.
 
         ``key`` names the batching subject (the network domain or the
-        chunk's lead token) so chunk draws shard cleanly with it.
+        chunk's lead token), so chunk draws depend only on that
+        subject's own history.
         """
         day = self.clock.day()
         if day != self._cached_day:
@@ -299,29 +282,6 @@ class FaultInjector:  # reprolint: disable=RL401 — *_rules/_cached_day are der
                 self._count("chunk")
                 return True
         return False
-
-    def decide_child_crash(self, day: int, domain: str,
-                           n_events: int) -> Optional[int]:
-        """Whether the shard child for ``domain`` crashes on ``day``.
-
-        Decided in the *parent* before forking (so the tally survives
-        the child's death) and shipped into the child, which executes
-        the returned number of events and then SIGKILLs itself.  The
-        supervisor's serial re-execution never consults this decision,
-        so the recovered day converges to the no-crash trajectory.
-        """
-        if day != self._cached_day:
-            self._refresh(day)
-        if not self._crash_rules:
-            return None
-        key = f"{day}|{domain}"
-        for rule in self._crash_rules:
-            if self._draw("crash", key) >= rule.probability:
-                continue
-            self._count("child_crash")
-            cut = self._draw("crash", key + "|cut")
-            return max(1, int(cut * max(n_events, 1)))
-        return None
 
     def decide_torn_tail(self, day: int) -> Optional[int]:
         """Bytes to tear off the journal tail while sealing ``day``
@@ -342,55 +302,16 @@ class FaultInjector:  # reprolint: disable=RL401 — *_rules/_cached_day are der
         return None
 
     # ------------------------------------------------------------------
-    # State transfer (sharding deltas and campaign checkpoints)
+    # State transfer (campaign checkpoints)
     # ------------------------------------------------------------------
-    def snapshot(self) -> Dict:
-        """Cheap marker of the current decision state (pre-day, in a
-        shard child) for :meth:`export_delta`."""
-        return {"counters": dict(self.counters),
-                "draws": dict(self._draws),
-                "invalidations": len(self.invalidations)}
-
-    def export_delta(self, snapshot: Dict) -> Dict:
-        """What this injector decided since ``snapshot`` — picklable,
-        and safe to apply in another process whose subjects are
-        disjoint from every other delta's."""
-        base_counters = snapshot["counters"]
-        base_draws = snapshot["draws"]
-        return {
-            "counters": {kind: count - base_counters.get(kind, 0)
-                         for kind, count in self.counters.items()
-                         if count != base_counters.get(kind, 0)},
-            "draws": {key: count
-                      for key, count in self._draws.items()
-                      if count != base_draws.get(key)},
-            "invalidated": list(
-                self.invalidations[snapshot["invalidations"]:]),
-        }
-
-    def apply_delta(self, delta: Dict) -> None:
-        """Merge a shard child's :meth:`export_delta` into the parent,
-        replaying token invalidations against the parent's store."""
-        for kind, count in delta["counters"].items():
-            self.counters[kind] = self.counters.get(kind, 0) + count
-        self._draws.update(delta["draws"])
-        for access_token, reason in delta["invalidated"]:
-            self.invalidations.append((access_token, reason))
-            if self.tokens is not None:
-                token = self.tokens.peek(access_token)
-                if token is not None and not token.invalidated:
-                    self.tokens.invalidate(access_token, reason=reason)
-
     def export_state(self) -> Dict:
         """Full decision state for a campaign checkpoint."""
         return {"counters": dict(self.counters),
-                "draws": dict(self._draws),
-                "invalidations": list(self.invalidations)}
+                "draws": dict(self._draws)}
 
     def install_state(self, state: Dict) -> None:
         self.counters = dict(state["counters"])
         self._draws = dict(state["draws"])
-        self.invalidations = list(state["invalidations"])
 
     def total_injected(self) -> int:
         return sum(self.counters.values())

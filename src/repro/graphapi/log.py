@@ -149,8 +149,7 @@ class RequestLog:
         """Stop journaling; returns the detached journal (or ``None``).
 
         Used to suspend the WAL while rows are *replayed from* it on
-        resume, and in forked shard children (only the parent may write
-        the shared journal — children export deltas instead).
+        resume.
         """
         journal = self._journal
         self._journal = None
@@ -286,14 +285,14 @@ class RequestLog:
                         record.source_ip, record.asn, record.outcome)
 
     # ------------------------------------------------------------------
-    # Shard transfer (see repro.countermeasures.sharding)
+    # Row export (journal format; see repro.journal)
     # ------------------------------------------------------------------
     def export_rows(self, start: int) -> List[tuple]:
         """Rows ``[start:]`` as plain picklable tuples.
 
         The action is exported as its stable enum-order code and the
-        outcome as its name, so a delta survives a process boundary
-        without carrying this log's intern/code tables along.
+        outcome as its name, so rows survive a process boundary without
+        carrying this log's intern/code tables along.
         """
         names = self._outcome_names
         return [
@@ -312,39 +311,6 @@ class RequestLog:
              outcome) in rows:
             append_row(ts, actions[code], token, user, app, target, ip,
                        asn, outcome)
-
-    def truncate(self, n: int) -> None:
-        """Discard rows ``[n:]``, restoring the state after row ``n-1``.
-
-        Used by shard-worker supervision: a quarantined component's
-        partial rows are rolled back before the day is deterministically
-        re-executed.  All columns and secondary indexes are trimmed *in
-        place* (the bound appenders in ``_pushes`` reference the live
-        containers, which must never be replaced).
-        """
-        if n >= len(self._ts):
-            return
-        touched_ips = {ip for ip in self._ip[n:] if ip is not None}
-        touched_apps = {app for app in self._app[n:] if app is not None}
-        for column in (self._ts, self._action, self._token, self._user,
-                       self._app, self._target, self._ip, self._asn,
-                       self._outcome):
-            del column[n:]
-        for key in touched_ips:
-            rows = self._by_ip[key]
-            while rows and rows[-1] >= n:
-                rows.pop()
-            if not rows:
-                del self._by_ip[key]
-        for key in touched_apps:
-            rows = self._by_app[key]
-            while rows and rows[-1] >= n:
-                rows.pop()
-            if not rows:
-                del self._by_app[key]
-        for rows in (self._like_rows, self._like_ok_rows):
-            while rows and rows[-1] >= n:
-                rows.pop()
 
     def digest(self) -> str:
         """Stable content digest over every row (export tuple format).

@@ -25,9 +25,10 @@ REDUCED_TOKEN_ACTIONS_PER_DAY = 40
 
 # The eviction memo (_evict_now/_evicted) is a process-transient
 # same-timestamp cache: it is only meaningful while this process sits
-# at one `now`, so snapshots deliberately omit it and installs reset
-# it (a forced re-eviction is an idempotent no-op).
-class SlidingWindowLimiter:  # reprolint: disable=RL401 — _evict_now/_evicted are a transient same-timestamp eviction memo, reset on install
+# at one `now`, so checkpoint snapshots (PolicyEnforcer._dump_limiter)
+# deliberately omit it and installs reset it (a forced re-eviction is
+# an idempotent no-op).
+class SlidingWindowLimiter:
     """Counts events per key within a sliding time window.
 
     ``allow(key, now)`` answers whether one more event fits under
@@ -111,45 +112,6 @@ class SlidingWindowLimiter:  # reprolint: disable=RL401 — _evict_now/_evicted 
         events.append(now)
         return True
 
-    # ------------------------------------------------------------------
-    # Shard transfer (see repro.countermeasures.sharding)
-    # ------------------------------------------------------------------
-    def export_windows(self, keys) -> Dict[str, tuple]:
-        """Window state for ``keys``, as picklable tuples.
-
-        Only keys with any state (events present or a saturation memo)
-        are included; the transient same-timestamp eviction memo is
-        deliberately not exported — it is only valid within the
-        exporting process's current ``now``.
-        """
-        events_map = self._events
-        saturated = self._saturated_until
-        out: Dict[str, tuple] = {}
-        for key in keys:
-            events = events_map.get(key)
-            until = saturated.get(key)
-            if events is not None or until is not None:
-                out[key] = (None if events is None else tuple(events),
-                            until)
-        return out
-
-    def install_windows(self, windows: Dict[str, tuple]) -> None:
-        """Adopt :meth:`export_windows` output, replacing local state
-        for exactly the exported keys."""
-        for key, (events, until) in windows.items():
-            if events is None:
-                self._events.pop(key, None)
-            else:
-                self._events[key] = deque(events)
-            if until is None:
-                self._saturated_until.pop(key, None)
-            else:
-                self._saturated_until[key] = until
-        # The adopted deques may be shorter than what the memo saw, so
-        # force a fresh eviction pass on the next touch of any key.
-        self._evict_now = -1
-        self._evicted.clear()
-
 
 @dataclass
 class RateLimitPolicy:
@@ -215,7 +177,7 @@ class PolicyEnforcer:
         update — so sampling it (the telemetry day-end gauges) cannot
         perturb the simulation.  Resident counts include events a lazy
         eviction has not dropped yet; with identical admission history
-        the counts are identical, which is what the serial-vs-sharded
+        the counts are identical, which is what the resumed-run
         metrics identity relies on.
         """
         occupancy: Dict[str, Tuple[int, int]] = {}
@@ -416,28 +378,6 @@ class PolicyEnforcer:
         self._sync()
         return LikeWaveAdmitter(self._token_limiter, self._ip_day_limiter,
                                 self._ip_week_limiter, now)
-
-    # ------------------------------------------------------------------
-    # Shard transfer (see repro.countermeasures.sharding)
-    # ------------------------------------------------------------------
-    def export_shard_windows(self, tokens, ips) -> Dict[str, dict]:
-        """Window state for a shard's owned token and IP keys."""
-        self._sync()
-        out = {"token": self._token_limiter.export_windows(tokens)}
-        if self._ip_day_limiter is not None:
-            out["ip_day"] = self._ip_day_limiter.export_windows(ips)
-        if self._ip_week_limiter is not None:
-            out["ip_week"] = self._ip_week_limiter.export_windows(ips)
-        return out
-
-    def install_shard_windows(self, windows: Dict[str, dict]) -> None:
-        """Adopt a shard's :meth:`export_shard_windows` output."""
-        self._sync()
-        self._token_limiter.install_windows(windows["token"])
-        if self._ip_day_limiter is not None and "ip_day" in windows:
-            self._ip_day_limiter.install_windows(windows["ip_day"])
-        if self._ip_week_limiter is not None and "ip_week" in windows:
-            self._ip_week_limiter.install_windows(windows["ip_week"])
 
     # ------------------------------------------------------------------
     # Checkpoint transfer (see repro.countermeasures.recovery)

@@ -229,10 +229,9 @@ class EventJournal:
         self._chain = _chain(self._chain, payload)
         self._handle.write(_LEN.pack(len(payload)) + payload + self._chain)
         if _SANITIZER.enabled:
-            # Keyed by the WAL's own day, not the sim clock: under a
-            # sharded campaign the frames are appended at merge time,
-            # and they must land in the same epoch a serial day's
-            # appends do.
+            # Keyed by the WAL's own day, not the sim clock, so every
+            # frame of a day lands in that day's epoch whenever it is
+            # written.
             _SANITIZER.record_journal(
                 self._current.day, payload[:1].decode("ascii"),
                 self._chain)

@@ -42,9 +42,6 @@ RL302  …nor launder the mutation through a helper outside graphapi
 RL401  snapshot-protocol classes (export_*/install_*), capture/install
        pairs and *Checkpoint dataclasses must cover every mutable
        attribute / captured key / field
-RL402  *Delta dataclasses must pass and consume every field, and
-       forked shard children must not write parent-visible state
-       outside the delta
 RL403  journal frame payloads must round-trip through the approved
        codec (encode_*/decode_* or json), never inline repr/pickle
 

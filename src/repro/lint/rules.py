@@ -449,7 +449,6 @@ def default_rules() -> List[Rule]:
     from repro.lint.sanitizer_rules import sanitizer_rules
     from repro.lint.stateflow import (
         JournalCodecRule,
-        ShardDeltaRule,
         SnapshotCoverageRule,
     )
     from repro.lint.taint import SimClockArithmeticRule, TokenTaintRule
@@ -460,5 +459,5 @@ def default_rules() -> List[Rule]:
             TokenTaintRule(), ModuleScopeRngRule(), StreamSharingRule(),
             SimClockArithmeticRule(), ApiContractRule(),
             IndirectMutationRule(), SnapshotCoverageRule(),
-            ShardDeltaRule(), JournalCodecRule(), MetricLabelRule(),
+            JournalCodecRule(), MetricLabelRule(),
             *sanitizer_rules()]

@@ -2,9 +2,8 @@
 
 The reprosan shadow trace (:mod:`repro.sanitizer`) only bisects
 divergences it *saw*: a draw from a raw ``random.Random`` constructed
-outside the instrumented factory, a stream wound by a stray
-``setstate``, or a shard child whose delta ships without a
-``SanitizerDelta`` is a blind spot that reappears as an unexplainable
+outside the instrumented factory, or a stream wound by a stray
+``setstate``, is a blind spot that reappears as an unexplainable
 end-of-run digest mismatch.  These rules keep the hook surface
 airtight statically:
 
@@ -20,12 +19,6 @@ airtight statically:
   factory/sanitizer shells.  Winding a generator behind the trace's
   back desynchronises the shadow stream from the real one; state
   transfer is ``RngFactory.export_states``/``install_states``'s job.
-* **RL603** — every construction site of a ``*Delta`` dataclass that
-  declares a ``sanitizer`` field must fill it from
-  :func:`repro.sanitizer.delta.capture_delta` (directly, through a
-  local binding, or by forwarding another delta's ``.sanitizer``).
-  ``sanitizer=None`` at a fork point means shard children silently
-  stop contributing trace events and shard-vs-serial comparison rots.
 * **RL604** — hook laundering.  Code outside the shells must not
   reach into the factory/proxy internals (``._streams``,
   ``._wrapped``, ``._raw``, or ``getattr`` with those names) — and,
@@ -37,7 +30,7 @@ airtight statically:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Set
 
 from repro.lint.contracts import (
     _calls_outside_defs,
@@ -54,12 +47,6 @@ SANITIZER_SHELLS = ("repro/sim/rng.py", "repro/sanitizer/")
 #: Factory/proxy internals whose access outside the shells launders
 #: draws past the instrumentation.
 _HOOK_INTERNALS = frozenset({"_streams", "_wrapped", "_raw"})
-
-#: Import origins of the sanctioned shard-capture helper.
-_CAPTURE_ORIGINS = frozenset({
-    "repro.sanitizer.delta.capture_delta",
-    "repro.sanitizer.capture_delta",
-})
 
 
 def _in_shell(path: str) -> bool:
@@ -123,82 +110,6 @@ class StreamStateTransferRule(Rule):
                 self, node,
                 f".{func.attr}() outside the factory shell moves "
                 "generator state behind the sanitizer's back")
-
-
-class ShardSanitizerCaptureRule(ProjectRule):
-    """RL603 — fork points exporting a delta must capture the trace."""
-
-    rule_id = "RL603"
-    severity = Severity.ERROR
-    description = ("shard deltas with a sanitizer field must fill it "
-                   "from capture_delta()")
-    hint = ("pass sanitizer=capture_delta(SANITIZER, base, segments) "
-            "(or forward another delta's .sanitizer); a fork point "
-            "that drops the capture blinds shard-vs-serial bisection")
-
-    def run_project(self, graph) -> Iterator[Finding]:
-        from repro.lint.stateflow import (
-            _construction_sites,
-            _dataclass_fields,
-            _is_dataclass,
-        )
-
-        for module in sorted(graph.modules):
-            info = graph.modules[module]
-            for name in sorted(info.classes):
-                cls = info.classes[name]
-                if not (name.endswith("Delta")
-                        and isinstance(cls.node, ast.ClassDef)
-                        and _is_dataclass(cls.node)
-                        and "sanitizer" in _dataclass_fields(cls.node)):
-                    continue
-                for ctor_info, caller, call in _construction_sites(
-                        graph, cls):
-                    yield from self._check_site(
-                        ctor_info, caller, call, cls)
-
-    def _check_site(self, info, caller, call: ast.Call,
-                    cls) -> Iterator[Finding]:
-        value: Optional[ast.AST] = None
-        for keyword in call.keywords:
-            if keyword.arg is None:
-                return          # **kwargs: dynamic, RL402's territory
-            if keyword.arg == "sanitizer":
-                value = keyword.value
-        if value is None:
-            yield info.ctx.finding(
-                self, call,
-                f"{cls.name} constructed without a sanitizer= "
-                "capture; this fork point exports no SanitizerDelta")
-            return
-        if not self._is_capture(info.ctx, caller, value):
-            yield info.ctx.finding(
-                self, value,
-                f"{cls.name} sanitizer= is not fed from "
-                "capture_delta(); the shard child's trace is dropped")
-
-    def _is_capture(self, ctx: ModuleContext, caller,
-                    value: ast.AST) -> bool:
-        if self._is_capture_call(ctx, value):
-            return True
-        # Forwarding another delta's capture (merge/re-wrap paths).
-        if isinstance(value, ast.Attribute) and value.attr == "sanitizer":
-            return True
-        # A local bound from the capture call inside the same function.
-        if isinstance(value, ast.Name) and caller is not None:
-            for node in ast.walk(caller.node):
-                if not isinstance(node, ast.Assign):
-                    continue
-                if any(isinstance(t, ast.Name) and t.id == value.id
-                       for t in node.targets) \
-                        and self._is_capture_call(ctx, node.value):
-                    return True
-        return False
-
-    @staticmethod
-    def _is_capture_call(ctx: ModuleContext, node: ast.AST) -> bool:
-        return (isinstance(node, ast.Call)
-                and ctx.resolve(node.func) in _CAPTURE_ORIGINS)
 
 
 class HookLaunderingRule(ProjectRule):
@@ -302,4 +213,4 @@ class HookLaunderingRule(ProjectRule):
 
 def sanitizer_rules() -> List[Rule]:
     return [RawStreamConstructionRule(), StreamStateTransferRule(),
-            ShardSanitizerCaptureRule(), HookLaunderingRule()]
+            HookLaunderingRule()]

@@ -43,7 +43,6 @@ RULE_DESCRIPTIONS: Dict[str, str] = {
     "RL301": "direct platform mutation bypassing the Graph API",
     "RL302": "platform mutation reached through an outside helper",
     "RL401": "mutable state missing from a snapshot capture/install",
-    "RL402": "shard delta field dropped or impure forked child",
     "RL403": "journal frame bypasses the approved codec",
 }
 

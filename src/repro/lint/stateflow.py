@@ -1,7 +1,7 @@
 """RL4xx — state-coverage rules over the durability layer.
 
-Resume and sharding are only byte-identical if every piece of mutable
-state crosses the capture/restore boundary.  These rules prove that
+Resume is only byte-identical if every piece of mutable state crosses
+the capture/restore boundary.  These rules prove that
 statically, on top of the mutation-effect lattice the fixpoint
 (:mod:`repro.lint.fixpoint`) computes:
 
@@ -16,15 +16,6 @@ statically, on top of the mutation-effect lattice the fixpoint
   cross-checked key-by-key, and ``*Checkpoint`` dataclasses must have
   every field passed explicitly at each construction site and consumed
   somewhere in the defining module.
-* **RL402** — shard delta coverage and purity.  ``*Delta`` dataclasses
-  get the same explicit-construction and consumption checks (a field
-  the merge never reads is state the parent silently drops).  In
-  addition, the body of an ``os.fork()`` child branch — plus every
-  project function it transitively calls — must not write
-  parent-visible state outside the delta: no named-file writes, no
-  ``pickle.dump``-style serialisation to handles, no module-global
-  mutation.  ``os.fdopen`` on an inherited pipe fd is the sanctioned
-  channel home and is exempt.
 * **RL403** — journal codec discipline.  Inside ``repro/journal/``,
   payloads handed to a frame append must be produced by the approved
   codec (``encode_*`` functions, or ``json.dumps``) — never by raw
@@ -44,14 +35,6 @@ from repro.lint.rules import ModuleContext, ProjectRule
 from repro.lint.taint import attr_chain, terminal_base
 
 _CAPTURE_NAME = re.compile(r"^_?capture_(\w+)$")
-
-#: Filesystem mutations a forked shard child must not perform.
-_OS_FILE_MUTATIONS = frozenset({
-    "os.remove", "os.unlink", "os.rename", "os.replace", "os.truncate",
-    "os.makedirs", "os.mkdir", "os.rmdir",
-})
-_DUMP_TO_HANDLE = frozenset({"pickle.dump", "json.dump", "marshal.dump"})
-_WRITE_MODES = frozenset("wax+")
 
 #: Frame-append method names in the journal layer.
 _FRAME_APPENDS = frozenset({"_write_frame", "write_frame", "append_frame"})
@@ -337,7 +320,7 @@ class SnapshotCoverageRule(ProjectRule):
 
 def _check_record_dataclasses(rule, graph, info, suffix: str,
                               noun: str) -> Iterator[Finding]:
-    """Shared RL401/RL402 check for capture-record dataclasses:
+    """RL401's check for capture-record dataclasses:
     every field passed explicitly at each construction site, every
     field consumed somewhere in the defining module."""
     targets = [cls for name, cls in sorted(info.classes.items())
@@ -355,7 +338,7 @@ def _check_record_dataclasses(rule, graph, info, suffix: str,
                     rule, cls.node,
                     f"{noun} field '{cls.name}.{field_name}' is "
                     f"captured but never consumed in "
-                    f"{info.module} — restore/merge silently drops it")
+                    f"{info.module} — restore silently drops it")
         for ctor_info, caller, call in _construction_sites(graph, cls):
             missing = _ctor_missing_fields(call, fields)
             for field_name in missing:
@@ -375,157 +358,6 @@ def _construction_sites(graph, cls) -> Iterator[Tuple]:
                 if isinstance(node, ast.Call):
                     if graph.resolve_class(info, node) is cls:
                         yield info, fn, node
-
-
-class ShardDeltaRule(ProjectRule):
-    """RL402 — shard deltas are complete and shard children are pure."""
-
-    rule_id = "RL402"
-    severity = Severity.ERROR
-    description = ("shard deltas must carry every field and forked "
-                   "children must not write parent-visible state")
-    hint = ("route child state home through the delta (and consume "
-            "every delta field in the merge), or pragma the sanctioned "
-            "channel with its justification")
-
-    def run_project(self, graph) -> Iterator[Finding]:
-        for module in sorted(graph.modules):
-            info = graph.modules[module]
-            yield from _check_record_dataclasses(
-                self, graph, info, suffix="Delta", noun="shard delta")
-            yield from self._check_fork_purity(graph, info)
-
-    # -- forked-child purity -------------------------------------------
-    def _check_fork_purity(self, graph, info) -> Iterator[Finding]:
-        for fn in sorted(info.functions.values(),
-                         key=lambda f: f.qname):
-            fork_names = self._fork_result_names(info, fn.node)
-            if not fork_names:
-                continue
-            for branch in self._child_branches(fn.node, fork_names):
-                yield from self._check_child_branch(
-                    graph, info, fn, branch)
-
-    @staticmethod
-    def _fork_result_names(info, fn_node: ast.AST) -> Set[str]:
-        names: Set[str] = set()
-        for node in ast.walk(fn_node):
-            if (isinstance(node, ast.Assign)
-                    and isinstance(node.value, ast.Call)
-                    and info.ctx.resolve(node.value.func) == "os.fork"):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-        return names
-
-    @staticmethod
-    def _child_branches(fn_node: ast.AST,
-                        fork_names: Set[str]) -> Iterator[ast.If]:
-        for node in ast.walk(fn_node):
-            if not isinstance(node, ast.If):
-                continue
-            test = node.test
-            if (isinstance(test, ast.Compare)
-                    and isinstance(test.left, ast.Name)
-                    and test.left.id in fork_names
-                    and len(test.ops) == 1
-                    and isinstance(test.ops[0], ast.Eq)
-                    and len(test.comparators) == 1
-                    and isinstance(test.comparators[0], ast.Constant)
-                    and test.comparators[0].value == 0):
-                yield node
-
-    def _check_child_branch(self, graph, info, fn,
-                            branch: ast.If) -> Iterator[Finding]:
-        body = ast.Module(body=list(branch.body), type_ignores=[])
-        for node, why in self._impure_ops(info.ctx, body):
-            yield info.ctx.finding(
-                self, node,
-                f"forked shard child {why} — parent-visible state "
-                f"must travel through the delta")
-        # Transitive: project functions the child calls.
-        for call in ast.walk(body):
-            if not isinstance(call, ast.Call):
-                continue
-            callee = graph.resolve_call(info, fn, call)
-            if callee is None:
-                continue
-            for qname, node, why in self._closure_impurity(
-                    graph, callee):
-                yield info.ctx.finding(
-                    self, call,
-                    f"forked shard child {why} via {qname}() — "
-                    f"parent-visible state must travel through the "
-                    f"delta")
-
-    def _closure_impurity(self, graph, root
-                          ) -> Iterator[Tuple[str, ast.AST, str]]:
-        seen: Set[str] = set()
-        queue = [root.qname]
-        while queue:
-            qname = queue.pop()
-            if qname in seen:
-                continue
-            seen.add(qname)
-            fn = graph.functions.get(qname)
-            if fn is None:
-                continue
-            fn_info = graph.by_path.get(fn.path)
-            if fn_info is not None:
-                for node, why in self._impure_ops(
-                        fn_info.ctx, fn.node):
-                    yield qname, node, why
-            summary = graph.summaries.get(qname)
-            if summary is not None and summary.global_writes:
-                names = ", ".join(sorted(summary.global_writes))
-                yield (qname, fn.node,
-                       f"mutates module state ({names})")
-                # global_writes is already transitive; no need to
-                # descend for this fact, but file ops still need the
-                # body scan below.
-            for callee in sorted(graph.calls.get(qname, ())):
-                queue.append(callee)
-
-    @staticmethod
-    def _impure_ops(ctx: ModuleContext,
-                    tree: ast.AST) -> Iterator[Tuple[ast.AST, str]]:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            dotted = ctx.resolve(func)
-            if dotted in _OS_FILE_MUTATIONS:
-                yield node, f"calls {dotted}"
-                continue
-            if dotted in _DUMP_TO_HANDLE:
-                yield node, f"serialises through {dotted}"
-                continue
-            if isinstance(func, ast.Attribute):
-                if (func.attr == "dump"
-                        and terminal_base(func.value) in (
-                            "pickle", "json", "marshal")):
-                    yield node, "serialises through a dump-to-handle"
-                    continue
-                if func.attr in ("write_text", "write_bytes"):
-                    yield node, f"writes a file via .{func.attr}()"
-                    continue
-            if (isinstance(func, ast.Name) and func.id == "open"
-                    and _open_mode_writes(node)):
-                yield node, "opens a file for writing"
-
-
-def _open_mode_writes(call: ast.Call) -> bool:
-    mode: Optional[ast.AST] = None
-    if len(call.args) >= 2:
-        mode = call.args[1]
-    for keyword in call.keywords:
-        if keyword.arg == "mode":
-            mode = keyword.value
-    if mode is None:
-        return False
-    return (isinstance(mode, ast.Constant)
-            and isinstance(mode.value, str)
-            and bool(set(mode.value) & _WRITE_MODES))
 
 
 class JournalCodecRule(ProjectRule):

@@ -1,6 +1,6 @@
 """Trace manifest comparison — ``repro san diff A B``.
 
-Given two ``sanitizer.json`` manifests (run-vs-run, shard-vs-serial,
+Given two ``sanitizer.json`` manifests (run-vs-run,
 resume-vs-uninterrupted), the differ works outside-in:
 
 1. **Streams** — a stream present in only one trace is itself the
@@ -17,13 +17,9 @@ resume-vs-uninterrupted), the differ works outside-in:
    raw-event window, the event is named: method and call-site on each
    side.
 
-Cross-execution-mode comparisons must ignore the streams that
-describe the execution strategy rather than the workload: shard
-fork/merge markers (``shard``) always, and clock reads (``clock``)
-when comparing a sharded against a serial run (the pre-pass and child
-replay legitimately read the clock in a different pattern).  That is
-what ``--ignore`` is for; run-vs-run comparisons of the same mode
-ignore nothing.
+A comparison may ignore streams that describe the execution strategy
+rather than the workload (``--ignore``); two runs of the same
+campaign compare every stream, so they ignore nothing.
 """
 
 from __future__ import annotations

@@ -9,12 +9,12 @@ stream name, method, call-site, day, sequence — and records nothing
 for ``getstate``/``setstate`` (state plumbing is not a draw).
 
 The wrapper must survive the same journeys the raw generator makes:
-``CollusionNetwork.export_state`` pickles ``self.rng`` across the
-shard fork boundary and ``adopt_state`` swaps the unpickled stream
+``CollusionNetwork.export_state`` pickles ``self.rng`` into a campaign
+checkpoint and, on resume, ``adopt_state`` swaps the unpickled stream
 back in, rebinding bound-method caches (``self.rng.random``); the
 wrapper therefore pickles by value (stream name + underlying
 generator) and rebinds the process-global ``SANITIZER`` on the far
-side, so an adopted stream keeps recording in its new process.
+side, so an adopted stream keeps recording in the resumed process.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ def hot_draw_bindings(stream):
     The exemption is structural — a fixed property of the two inlined
     call sites, identical in every run and execution mode — so it is
     deliberately not recorded as a trace event (a per-bind marker
-    would differ between serial runs and shard adopt/merge rebinding
-    without describing any workload divergence).  A divergent draw
+    would differ between an uninterrupted run and a resume's
+    ``adopt_state`` rebinding without describing any workload
+    divergence).  A divergent draw
     inside the exempt loop still surfaces in the same day's trace
     through everything the loop feeds: the members/campaign streams,
     limiter saturation transitions, and journal frame digests.
@@ -69,7 +70,7 @@ class InstrumentedStream:
         self._name = name
         self._san = SANITIZER
 
-    # -- pickling (shard transfer, checkpoints) ------------------------
+    # -- pickling (checkpoints) ----------------------------------------
     def __reduce__(self):
         return (_rebuild, (self._name, self._raw))
 

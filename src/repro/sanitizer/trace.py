@@ -1,14 +1,14 @@
 """reprosan — the determinism sanitizer's shadow trace.
 
 Every scaling result in this reproduction rests on byte-identical
-equivalence invariants (shard-vs-serial campaigns, wave-vs-scalar
-admission, kill-9 resume convergence), but an end-of-run digest
-mismatch says *that* determinism broke, never *where*.  The sanitizer
-works the way TSan/MSan instrument a binary: hooks over the
-determinism surface — every named RNG stream draw, ``SimClock`` read,
-limiter saturation transition, journal frame append, and shard
-fork/merge point — feed a shadow trace that two runs can diff down to
-the first divergent event (``repro san diff A B``).
+equivalence invariants (wave-vs-scalar admission, kill-9 resume
+convergence), but an end-of-run digest mismatch says *that*
+determinism broke, never *where*.  The sanitizer works the way
+TSan/MSan instrument a binary: hooks over the determinism surface —
+every named RNG stream draw, ``SimClock`` read, limiter saturation
+transition and journal frame append — feed a shadow trace that two
+runs can diff down to the first divergent event (``repro san diff A
+B``).
 
 Memory is bounded the way a profiler bounds itself, not the way a
 logger doesn't:
@@ -36,14 +36,14 @@ Fold points (where the pending byte buffer is hashed into the chain)
 are a deterministic function of the per-stream event count alone —
 sample positions, day seals, and export — so equal event prefixes
 always produce equal digests regardless of when a run was
-checkpointed, forked, or exported.
+checkpointed or exported.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Simulation seconds per day (mirrors repro.sim.clock.DAY; duplicated
 #: here so the trace plane stays import-light for the sim layer).
@@ -116,7 +116,7 @@ class _StreamState:
         self.ring: deque = deque(maxlen=RING_SIZE)
 
 
-class SanitizerTrace:  # reprolint: disable=RL401 — enabled is session wiring set before the world builds; _capture lives only inside one sharded day, and checkpoints export at day boundaries where both are at rest
+class SanitizerTrace:  # reprolint: disable=RL401 — enabled is session wiring set before the world builds and is never part of a checkpoint
     """The process-global shadow-trace recorder (``SANITIZER``).
 
     Disabled by default; when disabled every hook is a single
@@ -129,10 +129,6 @@ class SanitizerTrace:  # reprolint: disable=RL401 — enabled is session wiring 
         self._streams: Dict[str, _StreamState] = {}
         self._day = 0
         self._last_clock: Optional[int] = None
-        #: When not None, hooks append replayable events here instead
-        #: of advancing stream states — the shard capture mode (see
-        #: repro.countermeasures.sharding).
-        self._capture: Optional[List[tuple]] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -148,7 +144,6 @@ class SanitizerTrace:  # reprolint: disable=RL401 — enabled is session wiring 
         self._streams = {}
         self._day = 0
         self._last_clock = None
-        self._capture = None
 
     # ------------------------------------------------------------------
     # Day tracking
@@ -157,11 +152,6 @@ class SanitizerTrace:  # reprolint: disable=RL401 — enabled is session wiring 
         """Clock advancement hook: keeps the current epoch day."""
         self._day = now // _DAY
 
-    def set_day(self, day: int) -> None:
-        """Pin the epoch day explicitly (shard children rewind the
-        clock by direct assignment, bypassing ``advance_to``)."""
-        self._day = day
-
     # ------------------------------------------------------------------
     # Recording hooks
     # ------------------------------------------------------------------
@@ -169,23 +159,10 @@ class SanitizerTrace:  # reprolint: disable=RL401 — enabled is session wiring 
                     frame: Any) -> None:
         """One RNG draw on a named factory stream."""
         site = (frame.f_code.co_filename, frame.f_lineno)
-        self._record("rng:" + stream, self._day, payload, method, site)
+        self._apply("rng:" + stream, self._day, payload, method, site)
 
     def record_clock(self, now: int) -> None:
-        """One ``SimClock.now()`` read, deduplicated by value.
-
-        In capture mode every read is captured and deduplication is
-        deferred to :meth:`replay`, where the global ``(when, seq)``
-        interleaving — not this process's local read order — decides
-        which reads are adjacent.  Deduplicating here against the
-        fork-inherited ``_last_clock`` could drop a read the serial
-        interleaving keeps.
-        """
-        capture = self._capture
-        if capture is not None:
-            capture.append((CLOCK_STREAM, now // _DAY, b"c%d" % now,
-                            "now=%d" % now, None))
-            return
+        """One ``SimClock.now()`` read, deduplicated by value."""
         if now == self._last_clock:
             return
         self._last_clock = now
@@ -195,33 +172,26 @@ class SanitizerTrace:  # reprolint: disable=RL401 — enabled is session wiring 
     def record_limiter(self, kind: str, key_digest: str) -> None:
         """One limiter saturation transition (``kind`` names the
         site: ``saturate``, ``exhaust``, ...; keys are redacted)."""
-        self._record(LIMITER_STREAM, self._day,
-                     b"L" + kind.encode() + key_digest.encode(),
-                     kind + " " + key_digest, None)
+        self._apply(LIMITER_STREAM, self._day,
+                    b"L" + kind.encode() + key_digest.encode(),
+                    kind + " " + key_digest, None)
 
     def record_journal(self, day: int, tag: str, digest: bytes) -> None:
         """One WAL frame append, identified by its chain digest."""
-        self._record(JOURNAL_STREAM, day, b"J" + tag.encode() + digest,
-                     "frame " + tag + " " + digest.hex(), None)
+        self._apply(JOURNAL_STREAM, day, b"J" + tag.encode() + digest,
+                    "frame " + tag + " " + digest.hex(), None)
 
     def record_shard(self, label: str) -> None:
-        """One shard fork/merge point (execution-strategy stream;
-        excluded from cross-mode comparisons like telemetry's
-        ``shard_`` family)."""
-        self._record(SHARD_STREAM, self._day, b"S" + label.encode(),
-                     label, None)
+        """One execution-strategy marker on its own stream.
+
+        No simulation path records one; the hook is kept because
+        ``perfbench/tracer.py`` wraps it by name."""
+        self._apply(SHARD_STREAM, self._day, b"S" + label.encode(),
+                    label, None)
 
     # ------------------------------------------------------------------
     # The record core
     # ------------------------------------------------------------------
-    def _record(self, stream: str, day: int, payload: bytes,
-                method: str, site) -> None:
-        capture = self._capture
-        if capture is not None:
-            capture.append((stream, day, payload, method, site))
-            return
-        self._apply(stream, day, payload, method, site)
-
     def _apply(self, stream: str, day: int, payload: bytes,
                method: str, site) -> None:
         state = self._streams.get(stream)
@@ -253,45 +223,6 @@ class SanitizerTrace:  # reprolint: disable=RL401 — enabled is session wiring 
                 # seqs no matter when each thinned.
                 del samples[::2]
                 state.stride *= 2
-
-    # ------------------------------------------------------------------
-    # Shard capture (see repro.countermeasures.sharding)
-    # ------------------------------------------------------------------
-    def begin_capture(self) -> int:
-        """Switch hooks to append-only capture; returns the mark."""
-        if self._capture is None:
-            self._capture = []
-        return len(self._capture)
-
-    def capture_mark(self) -> int:
-        capture = self._capture
-        return 0 if capture is None else len(capture)
-
-    def capture_slice(self, lo: int, hi: int) -> Tuple[tuple, ...]:
-        capture = self._capture
-        if capture is None:
-            return ()
-        return tuple(capture[lo:hi])
-
-    def end_capture(self) -> None:
-        """Leave capture mode, discarding the raw capture list (the
-        caller replays the per-event slices it kept, globally sorted)."""
-        self._capture = None
-
-    def replay(self, events: Iterable[tuple]) -> None:
-        """Apply captured events to this trace as if recorded live.
-
-        Clock reads are deduplicated here, at replay time, against
-        this process's last-seen value — matching what a serial run
-        would have recorded in the same global order.
-        """
-        for stream, day, payload, method, site in events:
-            if stream == CLOCK_STREAM:
-                now = int(method[4:])
-                if now == self._last_clock:
-                    continue
-                self._last_clock = now
-            self._apply(stream, day, payload, method, site)
 
     # ------------------------------------------------------------------
     # State transfer (checkpoints; resume convergence)
@@ -372,12 +303,10 @@ class SanitizerTrace:  # reprolint: disable=RL401 — enabled is session wiring 
     def event_total(self) -> int:
         return sum(state.total for state in self._streams.values())
 
-    def fingerprint(self, exclude_prefixes: Tuple[str, ...] = ()) -> str:
+    def fingerprint(self) -> str:
         """8-hex-char digest over per-stream totals and chains."""
         digest = hashlib.blake2b(digest_size=4)
         for name in sorted(self._streams):
-            if exclude_prefixes and name.startswith(exclude_prefixes):
-                continue
             state = self._streams[name]
             digest.update(f"{name}|{state.total}|".encode())
             digest.update(_peek(state.chain, state.pending))

@@ -38,40 +38,10 @@ class ActivityLog:
     def __init__(self) -> None:
         self._by_actor: Dict[str, List[ActivityRecord]] = {}
         self._total = 0
-        self._journal: Optional[List[ActivityRecord]] = None
 
     def record(self, record: ActivityRecord) -> None:
         self._by_actor.setdefault(record.actor_id, []).append(record)
         self._total += 1
-        if self._journal is not None:
-            self._journal.append(record)
-
-    def start_journal(self) -> List[ActivityRecord]:
-        """Start mirroring appends into a side list (shard export)."""
-        self._journal = []
-        return self._journal
-
-    def stop_journal(self) -> None:
-        self._journal = None
-
-    def rollback(self, journal: List[ActivityRecord]) -> None:
-        """Un-append every record in ``journal`` (newest last).
-
-        Shard-worker supervision re-executes a quarantined component
-        inline, then rolls its activity back so the day merge can
-        re-interleave it with the other components' records in global
-        event order.  Each record must be its actor's current tail.
-        """
-        for record in reversed(journal):
-            records = self._by_actor[record.actor_id]
-            popped = records.pop()
-            if popped is not record:  # pragma: no cover - misuse guard
-                records.append(popped)
-                raise ValueError(
-                    "rollback journal does not match the log tail")
-            if not records:
-                del self._by_actor[record.actor_id]
-            self._total -= 1
 
     def for_actor(self, actor_id: str) -> List[ActivityRecord]:
         """All activity by ``actor_id``, oldest first."""

@@ -1,25 +1,22 @@
-"""Deterministic telemetry plane: metrics, spans, shard-merged exports.
+"""Deterministic telemetry plane: metrics, spans and exports.
 
 The subsystem watches the pipeline the way the paper's operators watched
 production (§5-§6: rate-limit deployments, invalidation bursts, live
 SynchroTrap) while staying invisible to the simulation itself: seeded
 runs with telemetry enabled are byte-identical to runs with it
-disabled, and sharded runs merge child deltas into exactly the metrics
-a serial run records.
+disabled.
 
 Layout:
 
 - :mod:`repro.telemetry.registry` — counters/gauges/histograms keyed by
-  name + sorted label tuples (integer-valued, so merges are exact).
+  name + sorted label tuples (integer-valued, so checkpoints restore
+  them exactly).
 - :mod:`repro.telemetry.tracing` — span tree over stages, campaign
-  days, delivery waves and shard children; Chrome-trace + text export.
-- :mod:`repro.telemetry.delta` — :class:`TelemetryDelta` shard workers
-  ship alongside ``ShardDayDelta``; parent-side merge.
+  days and delivery waves; Chrome-trace + text export.
 - :mod:`repro.telemetry.export` — Prometheus text exposition, JSON and
   trace writers behind ``repro run --telemetry`` / ``repro metrics``.
 """
 
-from repro.telemetry.delta import TelemetryDelta, capture_delta, merge_delta
 from repro.telemetry.export import (
     chrome_trace,
     histogram_quantiles,
@@ -36,13 +33,10 @@ __all__ = [
     "TELEMETRY",
     "TRACER",
     "Span",
-    "TelemetryDelta",
     "TelemetryRegistry",
     "Tracer",
-    "capture_delta",
     "chrome_trace",
     "histogram_quantiles",
-    "merge_delta",
     "metrics_json",
     "prometheus_text",
     "render_metrics",

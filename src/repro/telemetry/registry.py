@@ -1,16 +1,16 @@
 """Deterministic metrics registry.
 
 Metrics are keyed by ``(name, sorted-label-tuple)`` and every recorded
-value is an integer, so aggregation is exact: merging per-shard deltas
-in any order yields byte-for-byte the numbers a serial run records
-(floating-point sums would depend on addition order).  Durations are
-recorded as integer microseconds for the same reason.
+value is an integer, so aggregation is exact: a checkpoint restore or
+a resumed run yields byte-for-byte the numbers an uninterrupted run
+records (floating-point sums would depend on addition order).
+Durations are recorded as integer microseconds for the same reason.
 
 The registry is invisible to the simulation.  Recording never reads
 the wall clock, never touches an RNG stream and never mutates platform
 state; the only wall-clock data in the subsystem lives in the
 :class:`repro.perf.instrumentation.StageTimer` stage view (``stages``),
-which is excluded from snapshots, fingerprints and deltas.
+which is excluded from snapshots and fingerprints.
 
 Label hygiene: label values must be bounded (enum-like) strings.  Raw
 access tokens are rejected at the door — any value carrying the token
@@ -38,8 +38,8 @@ MetricKey = Tuple[str, LabelKey]
 _TOKEN_PREFIX = "EAAB"
 
 #: Upper bucket bounds for registered histogram families.  Bounds are
-#: part of the metric contract: both sides of a shard merge and both
-#: sides of a serial-vs-sharded comparison bucket identically.
+#: part of the metric contract: both sides of any run-vs-run
+#: comparison bucket identically.
 DEFAULT_HISTOGRAMS: Dict[str, Tuple[int, ...]] = {
     "wave_size": (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096),
     "wave_limiter_denials": (0, 1, 2, 4, 8, 16, 32, 64, 128, 256),
@@ -212,9 +212,8 @@ class TelemetryRegistry:  # reprolint: disable=RL401 — enabled/stages are proc
     def fingerprint(self, exclude_prefixes: Tuple[str, ...] = ()) -> str:
         """Stable digest of all series outside ``exclude_prefixes``.
 
-        Cross-mode identity checks (serial vs sharded) exclude the
-        ``shard_`` family: those series describe the execution strategy
-        itself, not the simulated workload.
+        Identity checks exclude families that describe the execution
+        itself (journal writes, say) rather than the simulated workload.
         """
         snap = self.snapshot()
         if exclude_prefixes:
@@ -226,7 +225,7 @@ class TelemetryRegistry:  # reprolint: disable=RL401 — enabled/stages are proc
                                  digest_size=8)
         return digest.hexdigest()
 
-    # -- snapshot protocol (checkpoints, shard deltas) -----------------
+    # -- snapshot protocol (checkpoints) --------------------------------
     def export_state(self) -> Dict[str, object]:
         """Full copy of the recorded series for checkpoint capture."""
         return {
@@ -251,8 +250,7 @@ class TelemetryRegistry:  # reprolint: disable=RL401 — enabled/stages are proc
         self._hist_max = dict(state["hist_max"])  # type: ignore[arg-type]
 
 
-#: Process-global registry.  Forked shard workers inherit a memory
-#: copy; their increments travel back as a TelemetryDelta (delta.py).
+#: Process-global registry.
 TELEMETRY = TelemetryRegistry()
 
 StageTimer.listeners.append(TELEMETRY._on_stage)

@@ -1,4 +1,4 @@
-"""Span tracing over the pipeline: stages → days → waves → shards.
+"""Span tracing over the pipeline: stages → days → waves.
 
 Spans carry both clocks: wall time (``perf_counter``, sanctioned here
 by the reprolint RL001 allowlist — instrumented modules never read the
@@ -52,8 +52,7 @@ class Tracer:
 
     def __init__(self) -> None:
         self.enabled = False
-        #: SimClock bound by the runner once the world exists; forked
-        #: shard children inherit the binding.
+        #: SimClock bound by the runner once the world exists.
         self.clock = None
         self.roots: List[Span] = []
         self.dropped = 0

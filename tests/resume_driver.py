@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Subprocess driver for the crash-recovery acceptance tests.
 
-Runs the same compressed two-network campaign as
-``test_sharded_campaign._run`` with an optional WAL journal, an optional
-mid-day SIGKILL (the "pull the power cord" half of the contract) and an
-optional ``torn_tail`` fault plan (the "disk ate the tail" half).
+Runs a compressed two-network campaign with an optional WAL journal,
+an optional mid-day SIGKILL (the "pull the power cord" half of the
+contract) and an optional ``torn_tail`` fault plan (the "disk ate the
+tail" half).
 Prints the request-log digest and resume metadata for the test to
 compare across processes; run with ``PYTHONHASHSEED=0`` so set layouts
 agree between the reference and resumed runs.
@@ -32,12 +32,11 @@ from repro.sanitizer import SANITIZER, write_sanitizer
 from repro.sim.clock import DAY
 from repro.telemetry.registry import TELEMETRY
 
-#: Families excluded from the printed fingerprint: ``shard_`` describes
-#: the execution strategy, ``journal_`` counts WAL frames/recoveries —
-#: both legitimately differ between a journal-less reference, a
-#: journaled run and a crash-resumed run, while every workload-derived
-#: series must match exactly.
-FINGERPRINT_EXCLUDES = ("shard_", "journal_")
+#: Families excluded from the printed fingerprint: ``journal_`` counts
+#: WAL frames/recoveries, which legitimately differ between a
+#: journal-less reference, a journaled run and a crash-resumed run,
+#: while every workload-derived series must match exactly.
+FINGERPRINT_EXCLUDES = ("journal_",)
 
 NETWORKS = ("fb-autolikers.com", "autolike.vn")
 SCALE = 0.004
@@ -56,7 +55,7 @@ def build(fault_plan=None):
         network = ecosystem.network(domain)
         network.build_membership(network.profile.pool_size(SCALE))
     config = CampaignConfig.compressed(
-        DAYS, networks=NETWORKS, outgoing_per_hour=0.0, shards=1,
+        DAYS, networks=NETWORKS, outgoing_per_hour=0.0,
         hublaa_outage=None)
     return world, CountermeasureCampaign(world, ecosystem, config)
 

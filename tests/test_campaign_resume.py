@@ -78,7 +78,7 @@ def test_journaled_run_matches_journal_less_reference(tmp_path,
     assert parsed["rows"] == reference["rows"]
     assert parsed["resumed_from"] == "None"
     assert "sealed through day 12" in parsed["report"]
-    # Workload-derived metrics (journal_/shard_ families excluded)
+    # Workload-derived metrics (the journal_ family excluded)
     # must not notice the journal either.
     assert (parsed["telemetry_fingerprint"]
             == reference["telemetry_fingerprint"])

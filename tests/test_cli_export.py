@@ -97,8 +97,8 @@ def test_fig4_csv(mini_report):
 
 def test_cli_run_journal_summary_and_noop_resume(tmp_path, capsys):
     """`repro run --journal` prints the durability summary (checkpoint
-    hits/misses, shard fallback reasons, journal state, log digest) and
-    a --resume over a completed journal restores instead of re-running."""
+    hits/misses, journal state, log digest) and a --resume over a
+    completed journal restores instead of re-running."""
     import json as _json
 
     journal = str(tmp_path / "journal")
@@ -127,4 +127,3 @@ def test_cli_run_journal_summary_and_noop_resume(tmp_path, capsys):
     # Byte-identical campaign convergence is test_campaign_resume.py's.
     assert len(run["log_digest"]) == 32
     assert run["log_digest"] != digest
-    assert run["shard_blockers"] == []

@@ -111,6 +111,24 @@ def test_injector_chunk_rules_separate_from_scalar():
     assert inj.total_injected() == 1
 
 
+def test_injector_seeds_and_torn_tail_bytes_are_pinned():
+    """The namespace seeds are drawn in a fixed order from the
+    ``faults`` streams (the unused "crash" draw included), so a fixed
+    master seed fixes every seed and every torn-tail byte count."""
+    plan = FaultPlan((FaultRule(kind="torn_tail", probability=1.0),))
+    factory = RngFactory(2017)
+    inj = FaultInjector(plan, factory.stream("faults"), SimClock(),
+                        chunk_rng=factory.stream("faults:chunk"))
+    assert inj._seeds == {
+        "s": 17794455416699221527,
+        "crash": 14392463166467106935,
+        "torn": 8108114514053306194,
+        "c": 4292753535543459371,
+    }
+    assert [inj.decide_torn_tail(day) for day in range(4)] == [
+        66, 96, 51, 73]
+
+
 # ----------------------------------------------------------------------
 # API-level injection
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """RL6xx sanitizer-coverage rules: fixture corpus, rule mechanics, and
-the load-bearing gates over the real hook surface (``rng.py`` /
-``sharding.py`` / the detection-side pragma sites)."""
+the load-bearing gates over the real hook surface (``rng.py`` / the
+detection-side pragma sites)."""
 
 import re
 import textwrap
@@ -50,13 +50,6 @@ def test_rl602_fixture_pair():
                          kind="clean") == []
 
 
-def test_rl603_fixture_pair():
-    findings = fixture_findings("rl603_dropped_capture.py")
-    assert [f.rule for f in findings] == ["RL603", "RL603"]
-    assert all("WorkDayDelta" in f.message for f in findings)
-    assert fixture_rules("rl603_captured_delta.py", kind="clean") == []
-
-
 def test_rl604_fixture_pair():
     findings = fixture_findings("rl604_laundering.py")
     assert [f.rule for f in findings] == ["RL604"] * 4
@@ -97,53 +90,8 @@ def test_rl602_leaves_module_global_state_to_rl002():
     """) == ["RL002"]
 
 
-def test_rl603_accepts_forwarding_and_local_binding():
-    assert rules_of("""
-        from dataclasses import dataclass
-        from typing import Optional
-
-        from repro.sanitizer.delta import capture_delta
-
-        @dataclass(frozen=True)
-        class HopDelta:
-            sanitizer: Optional[object]
-
-        def direct(trace, base):
-            return HopDelta(sanitizer=capture_delta(trace, base, []))
-
-        def bound(trace, base):
-            grabbed = capture_delta(trace, base, [])
-            return HopDelta(sanitizer=grabbed)
-
-        def forwarded(other):
-            return HopDelta(sanitizer=other.sanitizer)
-
-        def merge(delta):
-            return delta.sanitizer
-    """) == []
-
-
-def test_rl603_flags_a_name_not_bound_from_capture():
-    assert rules_of("""
-        from dataclasses import dataclass
-        from typing import Optional
-
-        @dataclass(frozen=True)
-        class HopDelta:
-            sanitizer: Optional[object]
-
-        def smuggle(trace):
-            grabbed = trace.events
-            return HopDelta(sanitizer=grabbed)
-
-        def merge(delta):
-            return delta.sanitizer
-    """) == ["RL603"]
-
-
 def test_rl604_ignores_deltas_without_a_sanitizer_field_and_shells():
-    # A *Delta with no sanitizer field is RL402's business, not RL603's;
-    # and _streams access from a shell path is the sanctioned factory.
+    # _streams access from a shell path is the sanctioned factory.
     assert rules_of("""
         def peek(factory):
             return len(factory._streams)
@@ -182,23 +130,6 @@ def test_rl602_allowlist_on_the_factory_is_load_bearing():
     rl602 = [f for f in findings if f.rule == "RL602"]
     assert len(rl602) == 2          # export_states + install_states
     assert LintEngine().lint_module("repro/sim/rng.py", source) == []
-
-
-def test_rl603_capture_wiring_in_sharding_is_load_bearing():
-    """Unbinding capture_delta in the real sharding module makes every
-    ShardDayDelta construction site an RL603 finding."""
-    source = (PACKAGE / "countermeasures" / "sharding.py").read_text(
-        encoding="utf-8")
-    assert source.count("sanitizer=capture_san_delta(") == 2
-    broken = source.replace("capture_delta as capture_san_delta",
-                            "capture_delta as _unused_capture")
-    findings = lint_source(broken,
-                           path="repro/countermeasures/sharding.py")
-    assert [f.rule for f in findings if f.rule == "RL603"] == \
-        ["RL603", "RL603"]
-    clean = lint_source(source,
-                        path="repro/countermeasures/sharding.py")
-    assert [f.rule for f in clean if f.rule == "RL603"] == []
 
 
 def test_rl604_catches_an_injected_laundering_helper():

@@ -1,6 +1,6 @@
 """RL4xx state-coverage rules: the fixture corpus, rule mechanics, and
 the load-bearing gates over the real durability layer
-(``recovery.py`` / ``sharding.py`` / ``wal.py``)."""
+(``recovery.py`` / ``wal.py``)."""
 
 import re
 import textwrap
@@ -50,22 +50,6 @@ def test_rl401_checkpoint_fixture_pair():
     assert all("spool" in f.message for f in findings)
     assert fixture_rules("rl401_checkpoint_fields.py",
                          kind="clean") == []
-
-
-def test_rl402_delta_fixture_pair():
-    findings = fixture_findings("rl402_delta_unread.py")
-    assert [f.rule for f in findings] == ["RL402"]
-    assert "failures" in findings[0].message
-    assert fixture_rules("rl402_delta_complete.py", kind="clean") == []
-
-
-def test_rl402_fork_purity_fixture_pair():
-    findings = fixture_findings("rl402_impure_child.py")
-    assert [f.rule for f in findings] == ["RL402", "RL402"]
-    messages = " ".join(f.message for f in findings)
-    assert "opens a file for writing" in messages
-    assert "json.dump" in messages
-    assert fixture_rules("rl402_pure_child.py", kind="clean") == []
 
 
 def test_rl403_fixture_pair():
@@ -137,26 +121,6 @@ def test_rl401_dict_snapshot_skip_list_must_be_justified():
                                    '_SKIP = ()')) == []
 
 
-def test_rl402_transitive_child_impurity():
-    # The child itself looks clean; the helper it calls writes a file.
-    findings = lint_source(textwrap.dedent("""
-        import os
-
-        def spill(path):
-            with open(path, "w") as sink:
-                sink.write("x")
-
-        def run(path):
-            pid = os.fork()
-            if pid == 0:
-                spill(path)
-                os._exit(0)
-            os.waitpid(pid, 0)
-    """), path="repro/oauth/helpers.py")
-    assert [f.rule for f in findings] == ["RL402"]
-    assert "spill" in findings[0].message
-
-
 # ----------------------------------------------------------------------
 # Load-bearing gates: undoing any shipped fix or pragma in the real
 # durability layer makes the tree dirty again.
@@ -176,32 +140,6 @@ def test_wal_codec_refactor_is_load_bearing():
     assert [f.rule for f in findings] == ["RL403", "RL403"]
 
 
-def test_sharding_child_pipe_pragma_is_load_bearing():
-    source = (PACKAGE / "countermeasures" / "sharding.py").read_text(
-        encoding="utf-8")
-    path = "repro/countermeasures/sharding.py"
-    assert lint_source(source, path=path) == []
-    stripped = _PRAGMA.sub("", source)
-    rules = [f.rule for f in lint_source(stripped, path=path)]
-    assert "RL402" in rules           # the child's pickle.dump pipe
-
-
-def test_sharding_domains_quarantine_is_load_bearing():
-    # Reverting the merge-side component check leaves the delta's
-    # ``domains`` field captured but never consumed.
-    source = (PACKAGE / "countermeasures" / "sharding.py").read_text(
-        encoding="utf-8")
-    path = "repro/countermeasures/sharding.py"
-    reverted = source.replace(
-        "tuple(delta.domains) != tuple(component)", "False")
-    reverted = reverted.replace("{tuple(delta.domains)!r}",
-                                "{tuple(component)!r}")
-    assert reverted != source
-    findings = lint_source(reverted, path=path)
-    assert [f.rule for f in findings] == ["RL402"]
-    assert "domains" in findings[0].message
-
-
 def test_recovery_checkpoint_pragma_is_load_bearing():
     # The fixpoint sees the token table flow export_state() ->
     # CampaignCheckpoint -> store.save(); only the justified pragma
@@ -219,7 +157,6 @@ def test_rl401_class_pragmas_are_load_bearing():
     cases = [
         ("collusion/network.py", "repro/collusion/network.py"),
         ("faults/plan.py", "repro/faults/plan.py"),
-        ("graphapi/ratelimit.py", "repro/graphapi/ratelimit.py"),
     ]
     for rel, path in cases:
         source = (PACKAGE / Path(rel)).read_text(encoding="utf-8")

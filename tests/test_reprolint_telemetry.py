@@ -92,8 +92,7 @@ def test_rl501_instrumented_modules_are_clean():
     pairs = []
     for rel in ("repro/graphapi/api.py", "repro/faults/retry.py",
                 "repro/collusion/network.py", "repro/journal/wal.py",
-                "repro/detection/synchrotrap.py",
-                "repro/countermeasures/sharding.py"):
+                "repro/detection/synchrotrap.py"):
         pairs.append((rel, src / rel))
     report = LintEngine().run_files(pairs)
     assert [f for f in report.findings if f.rule == "RL501"] == []

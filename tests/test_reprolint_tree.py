@@ -45,8 +45,8 @@ def test_default_rules_cover_all_shipped_families():
     assert {"RL001", "RL002", "RL003", "RL004", "RL005",
             "RL101", "RL201", "RL202", "RL203",
             "RL301", "RL302",
-            "RL401", "RL402", "RL403",
-            "RL601", "RL602", "RL603", "RL604"} <= ids
+            "RL401", "RL403",
+            "RL601", "RL602", "RL604"} <= ids
     assert any(isinstance(rule, ProjectRule) for rule in rules)
 
 

@@ -1,12 +1,11 @@
 """reprosan acceptance: the identity contract (a sanitized run is
-byte-identical to an unsanitized one), shard-vs-serial trace equality,
-and divergence bisection down to the exact event.
+byte-identical to an unsanitized one) and divergence bisection down to
+the exact event.
 
-The campaign fixtures run the same compressed two-network study as
-``tests/test_sharded_campaign.py`` — once plain, once traced, once
-sharded-and-traced — so every trace comparison here is over a real
-workload, not synthetic draws; the synthetic traces below pin the
-differ's bisection mechanics instead.
+The campaign fixtures run a compressed two-network study — once plain,
+once traced — so the identity check is over a real workload, not
+synthetic draws; the synthetic traces below pin the differ's bisection
+mechanics instead.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from repro.countermeasures.campaign import (
 )
 from repro.sanitizer import SANITIZER, diff_manifests
 from repro.sanitizer.trace import MAX_SAMPLES, SanitizerTrace
+from repro.sim.clock import DAY
 
 NETWORKS = ("fb-autolikers.com", "autolike.vn")
 SCALE = 0.004
@@ -32,7 +32,7 @@ DAYS = 12
 SEED = 31
 
 
-def _campaign(shards, sanitize):
+def _campaign(sanitize):
     """One compressed campaign; returns (digest, rows, manifest)."""
     SANITIZER.reset()
     if sanitize:
@@ -50,7 +50,7 @@ def _campaign(shards, sanitize):
             network.build_membership(network.profile.pool_size(SCALE))
         config = CampaignConfig.compressed(
             DAYS, networks=NETWORKS, outgoing_per_hour=0.0,
-            shards=shards, hublaa_outage=None)
+            hublaa_outage=None)
         CountermeasureCampaign(world, ecosystem, config).run()
         manifest = SANITIZER.manifest() if sanitize else None
         return world.api.log.digest(), len(world.api.log), manifest
@@ -61,17 +61,12 @@ def _campaign(shards, sanitize):
 
 @pytest.fixture(scope="module")
 def plain():
-    return _campaign(shards=1, sanitize=False)
+    return _campaign(sanitize=False)
 
 
 @pytest.fixture(scope="module")
 def traced():
-    return _campaign(shards=1, sanitize=True)
-
-
-@pytest.fixture(scope="module")
-def sharded_traced():
-    return _campaign(shards=2, sanitize=True)
+    return _campaign(sanitize=True)
 
 
 # ----------------------------------------------------------------------
@@ -92,31 +87,8 @@ def test_trace_covers_the_determinism_surface(traced):
     # The fused-admission hot loops draw raw (hot_draw_bindings), so
     # the trace stays in the thousands, not the millions of draws.
     assert manifest["events"] > 1_000
-    # Serial run: no fork/merge markers.
+    # No campaign path records execution-strategy markers.
     assert "shard" not in names
-
-
-# ----------------------------------------------------------------------
-# Shard-vs-serial trace equality
-# ----------------------------------------------------------------------
-def test_sharded_trace_matches_serial_event_for_event(traced,
-                                                      sharded_traced):
-    assert sharded_traced[0] == traced[0]
-    diff = diff_manifests(traced[2], sharded_traced[2],
-                          ignore=("shard", "clock"))
-    assert diff.equal, diff.render()
-    assert diff.streams_compared > 5
-    assert diff.events_a == diff.events_b > 1_000
-
-
-def test_shard_stream_marks_the_execution_strategy(sharded_traced):
-    names = set(sharded_traced[2]["streams"])
-    assert "shard" in names
-    # Without the ignore the execution-strategy stream is itself the
-    # divergence — exactly why cross-mode diffs exclude it.
-    diff = diff_manifests(sharded_traced[2], sharded_traced[2],
-                          ignore=())
-    assert diff.equal
 
 
 # ----------------------------------------------------------------------
@@ -127,7 +99,7 @@ def _drive(schedule, stream="campaign"):
     trace.enable()
     frame = sys._getframe()
     for day, payload in schedule:
-        trace.set_day(day)
+        trace.note_time(day * DAY)
         trace.record_draw(stream, payload, "random()", frame)
     return trace
 
@@ -189,27 +161,6 @@ def test_stream_present_on_one_side_is_the_divergence():
 # ----------------------------------------------------------------------
 # Trace plumbing invariants
 # ----------------------------------------------------------------------
-def test_capture_replay_reproduces_the_live_chain():
-    """The shard transfer path (capture → slice → replay) must land on
-    the same per-stream chains as live recording."""
-    schedule = _daily(2, 30)
-    live = _drive(schedule)
-
-    replayed = SanitizerTrace()
-    replayed.enable()
-    frame = sys._getframe()
-    base = replayed.begin_capture()
-    for day, payload in schedule:
-        replayed.set_day(day)
-        replayed.record_draw("campaign", payload, "random()", frame)
-    events = replayed.capture_slice(base, replayed.capture_mark())
-    replayed.end_capture()
-    replayed.replay(events)
-
-    assert replayed.fingerprint() == live.fingerprint()
-    assert diff_manifests(live.manifest(), replayed.manifest()).equal
-
-
 def test_export_install_mid_run_is_digest_neutral():
     """Checkpointing folds pending bytes early; fold points depend
     only on event counts, so chains stay comparable."""
@@ -222,7 +173,7 @@ def test_export_install_mid_run_is_digest_neutral():
     handoff.install_state(first.export_state())
     frame = sys._getframe()
     for day, payload in schedule[45:]:
-        handoff.set_day(day)
+        handoff.note_time(day * DAY)
         handoff.record_draw("campaign", payload, "random()", frame)
 
     assert handoff.fingerprint() == straight.fingerprint()

@@ -1,10 +1,7 @@
-"""The telemetry plane: registry, tracing, deltas, exports — and the
-two identity contracts that make it safe to leave on:
-
-1. a seeded run with telemetry enabled is byte-identical to the same
-   run with it disabled (same request-log digest);
-2. a sharded campaign's merged metrics equal the serial campaign's
-   metrics exactly (``shard_`` bookkeeping family excluded).
+"""The telemetry plane: registry, tracing, exports — and the identity
+contract that makes it safe to leave on: a seeded run with telemetry
+enabled is byte-identical to the same run with it disabled (same
+request-log digest).
 """
 
 from __future__ import annotations
@@ -27,10 +24,8 @@ from repro.telemetry import (
     TRACER,
     TelemetryRegistry,
     Tracer,
-    capture_delta,
     chrome_trace,
     histogram_quantiles,
-    merge_delta,
     metrics_json,
     prometheus_text,
     render_metrics,
@@ -102,8 +97,7 @@ def test_histogram_bucketing_and_quantiles(registry):
 
 def test_overflowing_tail_quantiles_report_the_exact_max(registry):
     """wave_limiter_denials stops at 256: a tail past it reports the
-    largest observation, and the max survives export/install and the
-    shard delta merge."""
+    largest observation, and the max survives export/install."""
     for value in (0, 3, 300, 1000, 700):
         registry.observe("wave_limiter_denials", value, stage="campaign")
     [row] = registry.snapshot()["histograms"]
@@ -124,23 +118,12 @@ def test_overflowing_tail_quantiles_report_the_exact_max(registry):
     resumed.install_state(registry.export_state())
     assert resumed.snapshot() == registry.snapshot()
 
-    base = registry.export_state()
-    registry.observe("wave_limiter_denials", 5000, stage="campaign")
-    serial = registry.snapshot()
-    delta = capture_delta(registry, base)
-    assert delta.histogram_maxes == {
-        ("wave_limiter_denials", (("stage", "campaign"),)): 5000}
-    parent = TelemetryRegistry()
-    parent.install_state(base)
-    merge_delta(parent, delta)
-    assert parent.snapshot() == serial
-
 
 def test_fingerprint_excludes_requested_families(registry):
     registry.count("wave_charges_total", 3)
-    base = registry.fingerprint(exclude_prefixes=("shard_",))
-    registry.count("shard_components_total", 2)
-    assert registry.fingerprint(exclude_prefixes=("shard_",)) == base
+    base = registry.fingerprint(exclude_prefixes=("journal_",))
+    registry.count("journal_frames_total", 2)
+    assert registry.fingerprint(exclude_prefixes=("journal_",)) == base
     assert registry.fingerprint() != base
 
 
@@ -152,38 +135,6 @@ def test_export_install_state_roundtrip(registry):
     other = TelemetryRegistry()
     other.install_state(state)
     assert other.fingerprint() == registry.fingerprint()
-
-
-# ----------------------------------------------------------------------
-# Deltas (the shard merge)
-# ----------------------------------------------------------------------
-def test_delta_capture_and_merge_reproduce_serial_totals(registry):
-    registry.count("a_total", 2, kind="x")
-    registry.observe("wave_size", 10, stage="campaign")
-    base = registry.export_state()
-
-    # "Child" work on top of the base.
-    registry.count("a_total", 5, kind="x")
-    registry.count("b_total", 1)
-    registry.gauge_set("g", 9)
-    registry.observe("wave_size", 700, stage="campaign")
-    serial_print = registry.fingerprint()
-    delta = capture_delta(registry, base)
-
-    # Rewind to the base and merge the delta back in.
-    parent = TelemetryRegistry()
-    parent.install_state(base)
-    merge_delta(parent, delta)
-    assert parent.fingerprint() == serial_print
-
-
-def test_delta_only_ships_changed_series(registry):
-    registry.count("unchanged_total", 4)
-    base = registry.export_state()
-    registry.count("changed_total", 1)
-    delta = capture_delta(registry, base)
-    names = {name for name, _ in delta.counters}
-    assert names == {"changed_total"}
 
 
 # ----------------------------------------------------------------------
@@ -262,9 +213,9 @@ def test_write_telemetry_and_render_metrics(tmp_path, registry):
 
 
 # ----------------------------------------------------------------------
-# Identity contract 1: telemetry on == telemetry off
+# Identity contract: telemetry on == telemetry off
 # ----------------------------------------------------------------------
-def _campaign_run(*, shards=1, telemetry=False, networks=(
+def _campaign_run(*, telemetry=False, networks=(
         "fb-autolikers.com", "autolike.vn"), scale=0.004, seed=31):
     from repro.faults.plan import FaultPlan
 
@@ -286,7 +237,7 @@ def _campaign_run(*, shards=1, telemetry=False, networks=(
         network = ecosystem.network(domain)
         network.build_membership(network.profile.pool_size(scale))
     config = CampaignConfig.compressed(
-        12, networks=networks, outgoing_per_hour=0.0, shards=shards,
+        12, networks=networks, outgoing_per_hour=0.0,
         hublaa_outage=None)
     campaign = CountermeasureCampaign(world, ecosystem, config)
     campaign.run()
@@ -301,23 +252,6 @@ def test_telemetry_enabled_run_is_byte_identical_to_disabled():
     assert TELEMETRY.counter_total("delivery_attempts_total") > 0
     assert TELEMETRY.counter_total("wave_likes_total") > 0
     assert TRACER.roots
-
-
-# ----------------------------------------------------------------------
-# Identity contract 2: sharded merged metrics == serial metrics
-# ----------------------------------------------------------------------
-def test_sharded_merged_metrics_equal_serial_metrics():
-    serial_world = _campaign_run(shards=1, telemetry=True)
-    serial_print = TELEMETRY.fingerprint(exclude_prefixes=("shard_",))
-    serial_digest = serial_world.api.log.digest()
-
-    sharded_world = _campaign_run(shards=2, telemetry=True)
-    sharded_print = TELEMETRY.fingerprint(exclude_prefixes=("shard_",))
-    # The sharded path really ran sharded and counted its components.
-    assert TELEMETRY.counter_total("shard_components_total") > 0
-
-    assert sharded_world.api.log.digest() == serial_digest
-    assert sharded_print == serial_print
 
 
 def test_cli_metrics_renders_written_document(tmp_path, registry,

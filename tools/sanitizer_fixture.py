@@ -6,18 +6,14 @@ directories for ``repro san diff`` to compare:
 
 ``smoke --out DIR``
     Runs the compressed two-network countermeasure campaign twice in
-    one process — serial (``shards=1``) into ``DIR/serial`` and
-    sharded (``shards=2``) into ``DIR/sharded`` — with the sanitizer
-    recording.  The request-log digests must already match (that is
-    the sharding equivalence contract); CI then proves the *traces*
-    match event-for-event::
+    one process, into ``DIR/a`` and ``DIR/b``, with the sanitizer
+    recording, and exits 1 if the two trace fingerprints differ.  CI
+    then proves the traces match event-for-event, every stream
+    included::
 
-        repro san diff DIR/serial DIR/sharded \\
-            --ignore shard --ignore clock
+        repro san diff DIR/a DIR/b
 
-    must exit 0.  (``shard`` is the execution-strategy stream;
-    ``clock`` read patterns legitimately differ between the shard
-    pre-pass/replay and a serial sweep.)
+    must exit 0.
 
 ``divergent --out DIR``
     Synthesizes ``DIR/base`` and ``DIR/divergent``: identical
@@ -34,9 +30,9 @@ import sys
 
 from repro.sanitizer import SANITIZER, write_sanitizer
 from repro.sanitizer.trace import SanitizerTrace
+from repro.sim.clock import DAY
 
-#: Mirrors tests/resume_driver.py: two disjoint collusion networks so
-#: the shard planner can actually split the campaign.
+#: Mirrors tests/resume_driver.py.
 NETWORKS = ("fb-autolikers.com", "autolike.vn")
 SCALE = 0.004
 DAYS = 12
@@ -51,10 +47,9 @@ DRAWS_PER_DAY = 120
 INJECT_AFTER_SEQ = 77
 
 
-def _run_campaign(shards: int, out_dir: str) -> str:
+def _run_campaign(out_dir: str) -> str:
     """One compressed campaign with the sanitizer on; returns the
-    trace fingerprint (shard/clock streams excluded so serial and
-    sharded agree)."""
+    trace fingerprint over every stream."""
     from repro.apps.catalog import AppCatalog
     from repro.collusion.ecosystem import build_ecosystem
     from repro.core.config import StudyConfig
@@ -75,13 +70,12 @@ def _run_campaign(shards: int, out_dir: str) -> str:
         network = ecosystem.network(domain)
         network.build_membership(network.profile.pool_size(SCALE))
     config = CampaignConfig.compressed(
-        DAYS, networks=NETWORKS, outgoing_per_hour=0.0, shards=shards,
+        DAYS, networks=NETWORKS, outgoing_per_hour=0.0,
         hublaa_outage=None)
     CountermeasureCampaign(world, ecosystem, config).run()
     write_sanitizer(out_dir)
-    fingerprint = SANITIZER.fingerprint(
-        exclude_prefixes=("shard", "clock"))
-    print(f"shards={shards} dir={out_dir} digest={world.api.log.digest()} "
+    fingerprint = SANITIZER.fingerprint()
+    print(f"dir={out_dir} digest={world.api.log.digest()} "
           f"trace_fingerprint={fingerprint}")
     SANITIZER.reset()
     SANITIZER.disable()
@@ -89,11 +83,13 @@ def _run_campaign(shards: int, out_dir: str) -> str:
 
 
 def cmd_smoke(args: argparse.Namespace) -> int:
-    serial = _run_campaign(1, f"{args.out}/serial")
-    sharded = _run_campaign(2, f"{args.out}/sharded")
-    if serial != sharded:
-        print("smoke: trace fingerprints differ before diff "
-              f"({serial} vs {sharded}) — san diff will localize")
+    first = _run_campaign(f"{args.out}/a")
+    second = _run_campaign(f"{args.out}/b")
+    if first != second:
+        print(f"smoke: trace fingerprints differ ({first} vs {second}); "
+              f"run repro san diff {args.out}/a {args.out}/b to localize",
+              file=sys.stderr)
+        return 1
     return 0
 
 
@@ -103,7 +99,7 @@ def _drive(trace: SanitizerTrace, inject: bool) -> None:
     trace.enable()
     frame = sys._getframe()
     for day in range(DIVERGENT_DAYS):
-        trace.set_day(day)
+        trace.note_time(day * DAY)
         for seq in range(DRAWS_PER_DAY):
             trace.record_draw(DIVERGENT_STREAM,
                               b"draw:%d:%d" % (day, seq),
@@ -130,7 +126,7 @@ def main() -> int:
         description="reprosan CI fixture generator")
     sub = parser.add_subparsers(dest="mode", required=True)
     smoke = sub.add_parser(
-        "smoke", help="serial-vs-sharded campaign trace pair")
+        "smoke", help="two identical campaign runs' trace pair")
     smoke.add_argument("--out", required=True)
     smoke.set_defaults(func=cmd_smoke)
     divergent = sub.add_parser(
