@@ -39,7 +39,7 @@ from repro.sanitizer.streams import hot_draw_bindings
 from repro.socialnet.errors import SocialNetworkError
 from repro.telemetry.registry import TELEMETRY
 
-#: try_* result codes that mark a retryable (injected) failure.
+#: Wave result codes that mark a retryable (injected) failure.
 _TRANSIENT_CODES = ("transient", "timeout")
 
 
@@ -166,24 +166,11 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_member_op_
         self._requests_today: Dict[str, int] = {}
         self._accounted_day = -1
 
-        # Batched-delivery health: after a failed all-or-nothing chunk
-        # (token invalidation storms, limit pressure) stay on the scalar
-        # path for a while instead of paying sample-rollback-replay on
-        # every chunk; the backoff doubles while failures persist.
-        # ``batch_requests_enabled = False`` forces the scalar path
-        # everywhere (the two are RNG-stream equivalent; the flag exists
-        # for equivalence tests and debugging).
-        self.batch_requests_enabled = True
-        self._batch_cooldown = 0
-        self._batch_backoff = self._BATCH_CHUNK
         # Resilience: transient API failures (fault injection) are
         # retried with deterministic backoff and a per-endpoint circuit
-        # breaker; a chunk that keeps failing degrades the network to
-        # the scalar path for the rest of the day.  All of this is inert
-        # (and free) while the world has no fault plan.
+        # breaker.  All of this is inert (and free) while the world has
+        # no fault plan.
         self.retry_policy = RetryPolicy()
-        self._batch_fail_streak = 0
-        self._batch_degraded_day = -1
         # Membership-op journal for campaign checkpoints: an ordered
         # record of every ("store", id) / ("drop", id) mutation of
         # ``dead_members`` since recording began.  A crash-recovery
@@ -450,10 +437,6 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_member_op_
         size = min(self.profile.hot_set_size, len(self._member_list))
         self._hot_members = self.rng.sample(self._member_list, size)
 
-    def _note_use(self, member: str) -> None:
-        """Hook kept for symmetry; the sticky hot set needs no per-use
-        bookkeeping."""
-
     def _make_ip_weights(self) -> List[float]:
         n = len(self.ip_pool.addresses)
         if self.profile.ip_usage == "uniform":
@@ -561,43 +544,16 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_member_op_
             return DeliveryReport(requested=count, delivered=0, attempts=0)
         return self._deliver_likes(post_id, count, exclude={requester_id})
 
-    #: Pairs sampled per optimistic batch chunk.
-    _BATCH_CHUNK = 48
-    #: Don't bother batching tails smaller than this.
-    _BATCH_MIN = 8
-    #: Backoff ceiling, in scalar iterations between batch probes.
-    _BATCH_BACKOFF_MAX = 4096
-    #: Consecutive chunk failures before degrading to scalar delivery
-    #: for the rest of the day (fault-plan runs only).
-    _BATCH_DEGRADE_STREAK = 6
-
-    def _batch_failed(self) -> None:
-        self._batch_cooldown = self._batch_backoff
-        self._batch_backoff = min(self._batch_backoff * 2,
-                                  self._BATCH_BACKOFF_MAX)
-        if self.world.faults is not None:
-            self._batch_fail_streak += 1
-            if self._batch_fail_streak >= self._BATCH_DEGRADE_STREAK:
-                day = self.world.clock.day()
-                if self._batch_degraded_day != day and TELEMETRY.enabled:
-                    TELEMETRY.count("wave_degradations_total",
-                                    network=self.domain)
-                self._batch_degraded_day = day
-
-    def _batching_active(self) -> bool:
-        """Whether the all-or-nothing fast path should be probed."""
-        return (self.batch_requests_enabled
-                and self._batch_degraded_day != self.world.clock.day())
-
     def _deliver_likes(self, post_id: str, quota: int,
                        exclude: Set[str]) -> DeliveryReport:
         report = DeliveryReport(requested=quota, delivered=0, attempts=0)
         used: Set[str] = set(exclude)
         budget = max(1, int(quota * self.profile.retry_factor))
-        if self._batching_active():
-            self._deliver_likes_wave(post_id, quota, budget, used, report)
-        else:
-            self._deliver_likes_scalar(post_id, quota, budget, used, report)
+        wave = self.world.api.delivery_wave(post_id)
+        try:
+            self._wave_like_run(wave, quota, budget, used, report)
+        finally:
+            wave.finish()
         self.total_likes_delivered += report.delivered
         if TELEMETRY.enabled:
             self._report_delivery_telemetry(report)
@@ -626,115 +582,12 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_member_op_
                             report.giveups_deadline,
                             network=domain, reason="deadline")
 
-    def _deliver_likes_scalar(self, post_id: str, quota: int, budget: int,
-                              used: Set[str],
-                              report: DeliveryReport) -> None:
-        """The per-request delivery loop: one :meth:`GraphApi.try_like_post`
-        round-trip per sampled member.
-
-        This is the wave path's verification oracle — a wave run must
-        produce this loop's exact RNG stream, log rows and report (see
-        tests/test_batch_equivalence.py) — and the live path whenever
-        batching is disabled or degraded for the day."""
-        while (report.delivered < quota and report.attempts < budget
-               and not report.halted):
-            if self._batch_cooldown > 0:
-                self._batch_cooldown -= 1
-            report.attempts += 1
-            member = self._sample_member(used)
-            if member is None:
-                break
-            if not self._perform_like(member, post_id, report):
-                continue
-            used.add(member)
-            report.delivered += 1
-
-    def _deliver_likes_wave(self, post_id: str, quota: int, budget: int,
-                            used: Set[str], report: DeliveryReport) -> None:
-        """Planned-wave delivery: the whole round in bulk admission.
-
-        Fault-free there is exactly one wave — every entry flows through
-        one :class:`~repro.graphapi.api.DeliveryWave` with memoized
-        token/limiter state, and the log rows and window hits land in
-        one flush.  Under an active fault plan the round is paced in
-        chunk-sized segments: each segment rolls the plan's chunk rules
-        (on the dedicated chunk stream) before it opens, a firing rule
-        trips the usual circuit breaker — cooldown with exponential
-        backoff, served through the scalar oracle so the per-entry
-        stream stays byte-identical — and a backoff streak degrades the
-        network to scalar delivery for the rest of the day."""
-        inj = self.world.faults
-        api = self.world.api
-        if inj is None:
-            wave = api.delivery_wave(post_id)
-            try:
-                self._wave_like_run(wave, -1, quota, budget, used, report)
-            finally:
-                wave.finish()
-            return
-        while (report.delivered < quota and report.attempts < budget
-               and not report.halted):
-            if self._batch_degraded_day == self.world.clock.day():
-                self._deliver_likes_scalar(post_id, quota, budget, used,
-                                           report)
-                return
-            if self._batch_cooldown > 0:
-                if self._cooldown_like_stretch(post_id, quota, budget,
-                                               used, report):
-                    return
-                continue
-            room = min(quota - report.delivered, budget - report.attempts)
-            if room < self._BATCH_MIN:
-                # Tails below the chunk floor always ran scalar.
-                self._deliver_likes_scalar(post_id, quota, budget, used,
-                                           report)
-                return
-            if inj.decide_chunk(min(room, self._BATCH_CHUNK),
-                                key=self.domain):
-                self._batch_failed()
-                continue
-            wave = api.delivery_wave(post_id)
-            try:
-                stalled = self._wave_like_run(
-                    wave, min(room, self._BATCH_CHUNK), quota, budget,
-                    used, report)
-            finally:
-                wave.finish()
-            self._batch_backoff = self._BATCH_CHUNK
-            self._batch_fail_streak = 0
-            if stalled:
-                return
-
-    def _cooldown_like_stretch(self, post_id: str, quota: int, budget: int,
-                               used: Set[str],
-                               report: DeliveryReport) -> bool:
-        """Serve the circuit-breaker backoff through the scalar oracle.
-
-        One cooldown tick per request, exactly like the scalar loop;
-        returns True when the member pool ran dry (delivery must stop).
-        The caller opens a fresh wave afterwards — the interlude mutates
-        the live limiter deques, so any prior wave's memoized capacities
-        are stale by construction (waves are finished before this runs).
-        """
-        while (self._batch_cooldown > 0 and report.delivered < quota
-               and report.attempts < budget and not report.halted):
-            self._batch_cooldown -= 1
-            report.attempts += 1
-            member = self._sample_member(used)
-            if member is None:
-                return True
-            if self._perform_like(member, post_id, report):
-                used.add(member)
-                report.delivered += 1
-        return False
-
-    def _wave_like_run(self, wave, seg: int, quota: int, budget: int,
-                       used: Set[str], report: DeliveryReport) -> bool:
-        """Run up to ``seg`` delivery entries through ``wave``
-        (``seg < 0`` = unbounded).  Per-entry RNG draws, verdict
-        handling and report bookkeeping mirror
-        :meth:`_deliver_likes_scalar` + :meth:`_perform_like` exactly.
-        Returns True when the member pool ran dry."""
+    def _wave_like_run(self, wave, quota: int, budget: int,
+                       used: Set[str], report: DeliveryReport) -> None:
+        """Sample members and like ``wave``'s post with their tokens
+        until the quota is met, the attempt budget is spent or the
+        member or IP pool runs dry; transient codes are retried on the
+        same token and IP."""
         sample_member = self._sample_member
         token_get = self.token_db.get
         pick_ip = self._pick_ip
@@ -744,13 +597,10 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_member_op_
         now = self.world.clock._now
         while (report.delivered < quota and report.attempts < budget
                and not report.halted):
-            if seg == 0:
-                return False
-            seg -= 1
             report.attempts += 1
             member = sample_member(used)
             if member is None:
-                return True
+                return
             token = token_get(member)
             if token is None:
                 continue
@@ -758,7 +608,7 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_member_op_
             if ip is None:
                 report.blocked += 1
                 report.halted = True
-                return False
+                return
             code = wave_like(token, ip)
             if code in _TRANSIENT_CODES:
                 before = counters["retries"]
@@ -794,62 +644,8 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_member_op_
                 else:
                     report.other_failures += 1
                 continue
-            self._note_use(member)
             used.add(member)
             report.delivered += 1
-        return False
-
-    def _perform_like(self, member: str, post_id: str,
-                      report: DeliveryReport) -> bool:
-        token = self.token_db.get(member)
-        if token is None:
-            return False
-        ip = self._pick_ip()
-        if ip is None:
-            report.blocked += 1
-            report.halted = True
-            return False
-        code = self.world.api.try_like_post(token, post_id, source_ip=ip)
-        if code in _TRANSIENT_CODES:
-            policy = self.retry_policy
-            counters = policy.counters
-            before = counters["retries"]
-            attempts0 = counters["giveups_attempts"]
-            deadline0 = counters["giveups_deadline"]
-            code = policy.retry(
-                "like_post", member, self.world.clock._now,
-                lambda: self.world.api.try_like_post(
-                    token, post_id, source_ip=ip),
-                code)
-            report.retries += counters["retries"] - before
-            report.giveups_attempts += (
-                counters["giveups_attempts"] - attempts0)
-            report.giveups_deadline += (
-                counters["giveups_deadline"] - deadline0)
-        if code is not None:
-            if code == "invalid_token":
-                self._drop_member(member)
-                report.dead_tokens_dropped += 1
-            elif code == "token_limit":
-                self._rate_errors_today += 1
-                report.rate_limited += 1
-            elif code == "ip_limit":
-                self._exhausted_ips.add(ip)
-                self._invalidate_ip_cache()
-                report.ip_limited += 1
-            elif code == "blocked":
-                asn = self.world.as_registry.asn_of(ip)
-                if asn is not None:
-                    self._blocked_asns.add(asn)
-                    self._invalidate_ip_cache()
-                report.blocked += 1
-            elif code in _TRANSIENT_CODES:
-                report.transient_failures += 1
-            else:
-                report.other_failures += 1
-            return False
-        self._note_use(member)
-        return True
 
     def _deliver_comments(self, post_id: str, quota: int,
                           exclude: Set[str]) -> DeliveryReport:
@@ -893,7 +689,6 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_member_op_
             except (GraphApiError, SocialNetworkError):
                 report.other_failures += 1
                 continue
-            self._note_use(member)
             used.add(member)
             report.delivered += 1
         self.total_comments_delivered += report.delivered
@@ -971,7 +766,6 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_member_op_
                 if page_id is not None:
                     self.world.api.like_page(token, page_id, source_ip=ip)
                     liked_pages.add(page_id)
-                    self._note_use(member)
                     return True
                 # fall through to a requester post
             target_post = self._next_requester_post()
@@ -981,7 +775,6 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_member_op_
             return False
         except (GraphApiError, SocialNetworkError):
             return False
-        self._note_use(member)
         return True
 
     def _promote_owner(self, member: str, token: str, ip: str) -> bool:
@@ -998,7 +791,6 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_member_op_
             return False
         except (GraphApiError, SocialNetworkError):
             return False  # duplicate etc.: fall back to normal targets
-        self._note_use(member)
         return True
 
     def _page_target_share(self) -> float:
@@ -1129,99 +921,31 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_member_op_
     # ------------------------------------------------------------------
     def serve_background_requests(self, count: int) -> int:
         """Serve ``count`` anonymous member like-requests; returns the
-        number of like charges that succeeded."""
+        number of like charges that succeeded.
+
+        One charge wave spans the whole serving event: every request in
+        it shares this clock instant, so token lookups and window
+        capacities memoize across requests and the limiter hits land in
+        a single flush."""
         if count <= 0:
             return 0
         total = 0
-        if not self._batching_active():
+        wave = self.world.api.delivery_wave()
+        try:
             for _ in range(count):
-                total += self._serve_one_background_scalar()
-            return total
-        if self.world.faults is None:
-            # One charge wave spans the whole serving event: every
-            # request in it shares this clock instant, so token lookups
-            # and window capacities memoize across requests and the
-            # limiter hits land in a single flush.
-            wave = self.world.api.delivery_wave()
-            try:
-                for _ in range(count):
-                    total += self._serve_one_background_wave(wave)
-            finally:
-                wave.finish()
-            return total
-        for _ in range(count):
-            total += self._serve_one_background_faulty()
+                total += self._serve_one_background(wave)
+        finally:
+            wave.finish()
         return total
 
-    def _background_entry(self, charge, used: Set[str]) -> Optional[int]:
-        """One sampled charge attempt: 1 charged, 0 failed, ``None``
-        when the request must stop (member pool or IP pool ran dry).
-        ``charge(token, ip)`` is either the scalar
-        :meth:`GraphApi.try_charge_like` oracle or a wave's
-        :meth:`~repro.graphapi.api.DeliveryWave.charge` — both consume
-        identical RNG/fault draws and bookkeeping."""
-        member = self._sample_member(used)
-        if member is None:
-            return None
-        token = self.token_db.get(member)
-        if token is None:
-            return 0
-        ip = self._pick_ip()
-        if ip is None:
-            return None
-        code = charge(token, ip)
-        if code in _TRANSIENT_CODES:
-            code = self.retry_policy.retry(
-                "charge_like", member, self.world.clock._now,
-                lambda: charge(token, ip), code)
-        if code is not None:
-            if code == "invalid_token":
-                self._drop_member(member)
-            elif code == "token_limit":
-                self._rate_errors_today += 1
-            elif code == "ip_limit":
-                self._exhausted_ips.add(ip)
-                self._invalidate_ip_cache()
-            elif code == "blocked":
-                asn = self.world.as_registry.asn_of(ip)
-                if asn is not None:
-                    self._blocked_asns.add(asn)
-                    self._invalidate_ip_cache()
-            return 0
-        used.add(member)
-        return 1
+    def _serve_one_background(self, wave) -> int:
+        """One background request through ``wave``: sample members and
+        charge a like to each token until the request's quota is met,
+        its attempt budget is spent or the member or IP pool runs dry.
 
-    def _serve_one_background_scalar(self) -> int:
-        """Scalar oracle for one background request (and the live path
-        while batching is disabled or degraded)."""
-        quota = self.profile.likes_per_request
-        budget = max(1, int(quota * self.profile.retry_factor))
-        delivered = 0
-        attempts = 0
-        used: Set[str] = set()
-        api = self.world.api
-
-        def charge(token: str, ip: str) -> Optional[str]:
-            return api.try_charge_like(token, source_ip=ip)
-
-        while delivered < quota and attempts < budget:
-            if self._batch_cooldown > 0:
-                self._batch_cooldown -= 1
-            attempts += 1
-            got = self._background_entry(charge, used)
-            if got is None:
-                break
-            delivered += got
-        return delivered
-
-    def _serve_one_background_wave(self, wave) -> int:
-        """One background request through an open (fault-free) wave.
-
-        The entry bookkeeping mirrors :meth:`_background_entry` exactly;
-        it is inlined — and the impossible-here transient-retry check
-        dropped (:meth:`DeliveryWave.charge` only returns transient
-        codes from a live fault injector) — because this loop processes
-        millions of entries per campaign."""
+        This loop processes millions of entries per campaign, so the
+        entry is inlined and ``token_limit`` — by far the commonest
+        rejection once §6.1 bites — is the first code tested."""
         quota = self.profile.likes_per_request
         budget = max(1, int(quota * self.profile.retry_factor))
         delivered = 0
@@ -1246,73 +970,44 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_member_op_
             if code is not None:
                 if code == "token_limit":
                     self._rate_errors_today += 1
-                elif code == "invalid_token":
-                    self._drop_member(member)
-                elif code == "ip_limit":
-                    self._exhausted_ips.add(ip)
-                    self._invalidate_ip_cache()
-                elif code == "blocked":
-                    asn = self.world.as_registry.asn_of(ip)
-                    if asn is not None:
-                        self._blocked_asns.add(asn)
-                        self._invalidate_ip_cache()
-                continue
+                    continue
+                if not self._background_rejected(charge, member, token,
+                                                 ip, code):
+                    continue
             used.add(member)
             delivered += 1
         return delivered
 
-    def _serve_one_background_faulty(self) -> int:
-        """One background request under an active fault plan: waves are
-        paced in chunk-sized segments with the same chunk-rule probes,
-        circuit breaker and scalar-oracle cooldown stretches as
-        :meth:`_deliver_likes_wave`."""
-        inj = self.world.faults
-        api = self.world.api
-        quota = self.profile.likes_per_request
-        budget = max(1, int(quota * self.profile.retry_factor))
-        delivered = 0
-        attempts = 0
-        used: Set[str] = set()
+    def _background_rejected(self, charge, member: str, token: str,
+                             ip: str, code: str) -> bool:
+        """React to a background charge rejected with any code but the
+        hot loop's ``token_limit``: retry a transient code on the same
+        token and IP, then drop a dead member or retire an exhausted IP
+        or blocked AS.  True when a retry landed the charge.
 
-        def scalar_charge(token: str, ip: str) -> Optional[str]:
-            return api.try_charge_like(token, source_ip=ip)
-
-        while delivered < quota and attempts < budget:
-            room = min(quota - delivered, budget - attempts)
-            if (self._batch_degraded_day == self.world.clock.day()
-                    or self._batch_cooldown > 0
-                    or room < self._BATCH_MIN):
-                if self._batch_cooldown > 0:
-                    self._batch_cooldown -= 1
-                attempts += 1
-                got = self._background_entry(scalar_charge, used)
-                if got is None:
-                    break
-                delivered += got
-                continue
-            seg = min(room, self._BATCH_CHUNK)
-            if inj.decide_chunk(seg, key=self.domain):
-                self._batch_failed()
-                continue
-            wave = api.delivery_wave()
-            stop = False
-            try:
-                charge = wave.charge
-                while seg > 0 and delivered < quota and attempts < budget:
-                    seg -= 1
-                    attempts += 1
-                    got = self._background_entry(charge, used)
-                    if got is None:
-                        stop = True
-                        break
-                    delivered += got
-            finally:
-                wave.finish()
-            self._batch_backoff = self._BATCH_CHUNK
-            self._batch_fail_streak = 0
-            if stop:
-                break
-        return delivered
+        Kept out of :meth:`_serve_one_background` so the retry
+        closure's captured names stay out of the hot loop's fast
+        locals.  The codes routed here are rare: a network meets each
+        dead token, exhausted IP or blocked AS about once."""
+        if code in _TRANSIENT_CODES:
+            code = self.retry_policy.retry(
+                "charge_like", member, self.world.clock._now,
+                lambda: charge(token, ip), code)
+            if code is None:
+                return True
+        if code == "token_limit":
+            self._rate_errors_today += 1
+        elif code == "invalid_token":
+            self._drop_member(member)
+        elif code == "ip_limit":
+            self._exhausted_ips.add(ip)
+            self._invalidate_ip_cache()
+        elif code == "blocked":
+            asn = self.world.as_registry.asn_of(ip)
+            if asn is not None:
+                self._blocked_asns.add(asn)
+                self._invalidate_ip_cache()
+        return False
 
     def _binomial(self, n: int, p: float) -> int:
         if n <= 0 or p <= 0:

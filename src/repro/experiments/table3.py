@@ -14,11 +14,17 @@ from typing import List
 from repro.apps.catalog import mau_bucket
 from repro.collusion.profiles import HTC_SENSE, NOKIA_ACCOUNT, SONY_XPERIA
 from repro.experiments.formats import format_table, humanize_count
+from repro.graphapi.errors import GraphApiError
+from repro.oauth.errors import InvalidTokenError
 from repro.oauth.scopes import PermissionScope
 from repro.oauth.server import AuthorizationRequest
 
 #: The Table 3 applications, in the paper's row order.
 TABLE3_APP_IDS = (HTC_SENSE, NOKIA_ACCOUNT, SONY_XPERIA)
+
+#: Stats-call attempts before an injected failure (fault-plan runs
+#: only) is allowed through.
+_STATS_ATTEMPTS = 4
 
 
 @dataclass
@@ -53,12 +59,9 @@ def _rank_of(world, app_id: str, key: str) -> int:
     return values.index(target) + 1
 
 
-def run(world) -> Table3Result:
-    """Fetch each exploited app's usage stats through the Graph API."""
-    # The stats call needs any valid token; mint one via the implicit
-    # flow of the first app, as a client would.
-    probe_account = world.platform.register_account(
-        "Table3 Probe", is_honeypot=True)
+def _probe_token(world, account_id: str) -> str:
+    """Mint a basic-scope token through the first app's implicit flow,
+    as a client would."""
     first_app = world.apps.get(TABLE3_APP_IDS[0])
     auth = world.auth_server.authorize(
         AuthorizationRequest(
@@ -67,12 +70,33 @@ def run(world) -> Table3Result:
             response_type="token",
             scope=PermissionScope.basic(),
         ),
-        probe_account.account_id,
+        account_id,
     )
-    token = auth.token_from_fragment()
+    return auth.token_from_fragment()
+
+
+def run(world) -> Table3Result:
+    """Fetch each exploited app's usage stats through the Graph API.
+
+    Under a fault plan the stats call is retried like any resilient
+    client would: transient errors and rate-limit jitter are retried on
+    the same token, and a token killed mid-flight is replaced."""
+    probe_account = world.platform.register_account(
+        "Table3 Probe", is_honeypot=True)
+    token = _probe_token(world, probe_account.account_id)
     rows: List[Table3Row] = []
     for app_id in TABLE3_APP_IDS:
-        stats = world.api.get_app_stats(token, app_id).data
+        for attempt in range(1, _STATS_ATTEMPTS + 1):
+            try:
+                stats = world.api.get_app_stats(token, app_id).data
+                break
+            except GraphApiError as error:
+                if not error.is_transient or attempt == _STATS_ATTEMPTS:
+                    raise
+            except InvalidTokenError:
+                if attempt == _STATS_ATTEMPTS:
+                    raise
+                token = _probe_token(world, probe_account.account_id)
         rows.append(Table3Row(
             app_id=app_id,
             name=stats["name"],

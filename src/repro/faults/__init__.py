@@ -2,8 +2,8 @@
 
 ``repro.faults`` makes the §6 countermeasure experiments honest about
 failure: a seeded :class:`FaultPlan` injects transient Graph API errors,
-timeouts, rate-limit jitter, mid-flight token invalidations and batch
-chunk failures at the :class:`~repro.graphapi.api.GraphApi` choke
+timeouts, rate-limit jitter, mid-flight token invalidations and torn
+journal tails at the :class:`~repro.graphapi.api.GraphApi` choke
 points, while :class:`RetryPolicy` / :class:`CircuitBreaker` give the
 consumers (collusion delivery loops, the honeypot milker) the retrying,
 backing-off behaviour the paper observed in real collusion networks.

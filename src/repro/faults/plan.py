@@ -16,9 +16,6 @@ describing *one* failure mode injected into the Graph API data plane:
     the request's access token is invalidated *mid-flight* (the request
     then fails through the normal ``invalid_token`` path and the token
     stays dead, as in the §6.2 invalidation countermeasure);
-``chunk``
-    an all-or-nothing ``execute_batch`` / ``charge_like_batch`` chunk
-    fails wholesale, forcing the caller to degrade to scalar replay;
 ``torn_tail``
     the process "loses power" while sealing a journal day: trailing
     bytes are torn off the newest WAL segment and the run aborts with
@@ -31,11 +28,11 @@ Rules compose: every active, matching rule gets an independent roll per
 request, in plan order, and the first hit wins.  Decisions are *keyed*
 hashes — ``blake2b(seed | namespace | key | draw#)`` with per-key draw
 counters — rather than a single sequential stream, so a decision
-depends only on its own subject's history (token, network, day), never
+depends only on its own subject's history (token or day), never
 on the global interleaving of other subjects' requests, and a resumed
 run that restores the draw counters decides exactly as before.
 The namespace seeds still come from the dedicated ``faults`` RNG
-streams, so a fixed plan remains fully deterministic under a fixed
+stream, so a fixed plan remains fully deterministic under a fixed
 master seed and an absent plan consumes no randomness at all.
 """
 
@@ -51,7 +48,7 @@ from repro.sim.clock import SimClock
 
 #: The failure modes a rule may inject.
 FAULT_KINDS = ("transient", "timeout", "rate_limit", "invalidate_token",
-               "chunk", "torn_tail")
+               "torn_tail")
 
 #: Pseudo-action key used by the charge-only admission path (there is no
 #: ApiAction for it; see GraphApi.charge_like).
@@ -66,8 +63,8 @@ class FaultRule:
     (``end_day`` exclusive, ``None`` = forever).  ``actions`` restricts
     the rule to a set of Graph API action names (e.g. ``"LIKE_POST"``,
     ``"COMMENT"``, or :data:`CHARGE_ACTION` for the charge-only path);
-    ``None`` matches every action.  ``chunk`` and ``torn_tail`` rules
-    ignore ``actions``.
+    ``None`` matches every action.  ``torn_tail`` rules ignore
+    ``actions``.
     """
 
     kind: str
@@ -161,17 +158,17 @@ class FaultPlan:
             handle.write(self.to_json() + "\n")
 
 
-# The per-day rule caches (_cached_day/_scalar_rules/_chunk_rules/
-# _torn_rules) are pure functions of the immutable plan
-# and the queried day, rebuilt on first use after any resume — they
-# carry no state a snapshot could lose.
+# The per-day rule caches (_cached_day/_scalar_rules/_torn_rules) are
+# pure functions of the immutable plan and the queried day, rebuilt on
+# first use after any resume — they carry no state a snapshot could
+# lose.
 class FaultInjector:  # reprolint: disable=RL401 — *_rules/_cached_day are derived per-day caches rebuilt from the immutable plan
     """Binds a :class:`FaultPlan` to a clock, an RNG stream and the
     token store, and answers the Graph API's "does this request fail?"
     questions.
 
     Decisions are position-independent: every roll hashes a namespace
-    seed, the subject key (access token, network domain or day) and a
+    seed, the subject key (access token or day) and a
     per-key draw counter, so a subject's fault trajectory depends only
     on its *own* request history.  A resumed run that restores the draw
     counters from a checkpoint therefore produces identical decisions.  Injected faults are tallied
@@ -179,20 +176,13 @@ class FaultInjector:  # reprolint: disable=RL401 — *_rules/_cached_day are der
     """
 
     def __init__(self, plan: FaultPlan, rng: random.Random,
-                 clock: SimClock, tokens=None,
-                 chunk_rng: Optional[random.Random] = None) -> None:
+                 clock: SimClock, tokens=None) -> None:
         self.plan = plan
         self.rng = rng
-        # Chunk decisions key off their own namespace seed so the scalar
-        # fault draws stay identical whether deliveries run as waves
-        # (which probe per segment) or through the scalar oracle (which
-        # never probes) — the wave/scalar equivalence contract depends
-        # on it.
-        self.chunk_rng = chunk_rng if chunk_rng is not None else rng
         self.clock = clock
         self.tokens = tokens
         self.counters: Dict[str, int] = {}
-        # Namespace seeds, derived once from the dedicated fault streams
+        # Namespace seeds, derived once from the dedicated fault stream
         # (fixed draw order => reproducible under a fixed master seed).
         self._seeds: Dict[str, int] = {
             "s": rng.getrandbits(64),
@@ -200,28 +190,22 @@ class FaultInjector:  # reprolint: disable=RL401 — *_rules/_cached_day are der
             "crash": rng.getrandbits(64),
             "torn": rng.getrandbits(64),
         }
-        self._seeds["c"] = self.chunk_rng.getrandbits(64)
         #: Draw counters keyed by (namespace, subject key).
         self._draws: Dict[Tuple[str, str], int] = {}
         # Per-day active-rule cache, split by decision surface so the
         # hot paths only scan what can match them.
         self._cached_day = -1
         self._scalar_rules: List[FaultRule] = []
-        self._chunk_rules: List[FaultRule] = []
         self._torn_rules: List[FaultRule] = []
 
     def _refresh(self, day: int) -> None:
         self._cached_day = day
         scalar: List[FaultRule] = []
-        chunk: List[FaultRule] = []
         torn: List[FaultRule] = []
-        buckets = {"chunk": chunk, "torn_tail": torn}
         for rule in self.plan.rules:
-            if not rule.active_on(day):
-                continue
-            buckets.get(rule.kind, scalar).append(rule)
+            if rule.active_on(day):
+                (torn if rule.kind == "torn_tail" else scalar).append(rule)
         self._scalar_rules = scalar
-        self._chunk_rules = chunk
         self._torn_rules = torn
 
     def _count(self, kind: str) -> None:
@@ -266,22 +250,6 @@ class FaultInjector:  # reprolint: disable=RL401 — *_rules/_cached_day are der
                                            reason="fault_injection")
             return kind
         return None
-
-    def decide_chunk(self, size: int, key: str = "") -> bool:
-        """Whether an all-or-nothing batch of ``size`` requests fails.
-
-        ``key`` names the batching subject (the network domain or the
-        chunk's lead token), so chunk draws depend only on that
-        subject's own history.
-        """
-        day = self.clock.day()
-        if day != self._cached_day:
-            self._refresh(day)
-        for rule in self._chunk_rules:
-            if self._draw("c", key) < rule.probability:
-                self._count("chunk")
-                return True
-        return False
 
     def decide_torn_tail(self, day: int) -> Optional[int]:
         """Bytes to tear off the journal tail while sealing ``day``
@@ -329,8 +297,8 @@ def transient_plan(probability: float = 0.05,
 
 
 def chaos_plan(transient: float = 0.05, timeout: float = 0.01,
-               rate_limit: float = 0.01, invalidate: float = 0.001,
-               chunk: float = 0.05) -> FaultPlan:
+               rate_limit: float = 0.01,
+               invalidate: float = 0.001) -> FaultPlan:
     """Every failure mode at once — the chaos-smoke configuration."""
     rules = []
     if transient > 0:
@@ -342,6 +310,4 @@ def chaos_plan(transient: float = 0.05, timeout: float = 0.01,
     if invalidate > 0:
         rules.append(FaultRule(kind="invalidate_token",
                                probability=invalidate))
-    if chunk > 0:
-        rules.append(FaultRule(kind="chunk", probability=chunk))
     return FaultPlan(tuple(rules))

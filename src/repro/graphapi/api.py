@@ -16,7 +16,7 @@ Every request — successful or not — lands in the :class:`RequestLog`.
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.graphapi.errors import (
     ApiTimeout,
@@ -45,7 +45,6 @@ from repro.oauth.proof import verify_appsecret_proof
 from repro.oauth.scopes import Permission
 from repro.oauth.tokens import AccessToken, TokenStore
 from repro.sim.clock import SimClock
-from repro.socialnet.account import AccountStatus
 from repro.socialnet.errors import SocialNetworkError
 from repro.socialnet.platform import SocialPlatform
 from repro.telemetry.registry import TELEMETRY
@@ -159,203 +158,18 @@ class GraphApi:
         # proceeds and dies through the normal invalid_token machinery.
 
     # ------------------------------------------------------------------
-    # Batched admission fast paths
-    # ------------------------------------------------------------------
-    def execute_batch(
-            self,
-            requests: Sequence[ApiRequest]) -> Optional[List[ApiResponse]]:
-        """Atomically execute a batch of *like* requests.
-
-        The scalar admission pipeline of :meth:`execute` is re-run here
-        in two phases — a pure validation pass (token / proof / scope /
-        AS block / rate-limit verdicts / platform pre-checks, amortized
-        across distinct tokens, scopes, apps and IPs), then a single
-        apply pass (limiter charges, platform writes, log appends in
-        request order).
-
-        All-or-nothing: when every request would succeed, the batch is
-        applied and the responses are returned, leaving byte-identical
-        state to scalar execution.  When *any* request would fail,
-        ``None`` is returned with **no state mutated** — callers fall
-        back to per-request :meth:`execute`, which surfaces individual
-        errors and partial side effects exactly as before.
-        """
-        inj = self.faults
-        if inj is not None and requests and inj.decide_chunk(
-                len(requests), key=requests[0].access_token):
-            return None
-        now = self.clock._now
-        peek = self.tokens.peek
-        apps_get = self.apps.get
-        policy = self.policy
-        resolve = self._resolve_asn
-        posts = self.platform.posts
-        pages = self.platform.pages
-        accounts = self.platform.accounts
-        token_cache = self._charge_token_cache
-        account_ok: Dict[str, bool] = {}
-        batch_liked = set()
-        plan = []
-        for request in requests:
-            action = request.action
-            if action not in LIKE_ACTIONS:
-                return None
-            cached = token_cache.get(request.access_token)
-            if cached is None:
-                token = peek(request.access_token)
-                if token is None:
-                    return None
-                app = apps_get(token.app_id)
-                granted = token.grants(Permission.PUBLISH_ACTIONS)
-                token_cache[request.access_token] = (token, app, granted)
-            else:
-                token, app, granted = cached
-            if token.invalidated or now >= token.expires_at:
-                return None
-            if app.security.require_app_secret:
-                proof = request.appsecret_proof
-                if proof != app.secret and not verify_appsecret_proof(
-                        app.secret, request.access_token, proof or ""):
-                    return None
-            if not granted:
-                return None
-            asn = resolve(request.source_ip)
-            if (policy.blocked_asns_by_app
-                    and policy.is_as_blocked(app.app_id, asn)):
-                return None
-            # Platform pre-checks: a write that would raise (unknown or
-            # duplicate target, suspended account) must bail out here,
-            # because the scalar path charges limits before performing.
-            if action is ApiAction.LIKE_POST:
-                object_id = str(request.params["post_id"])
-                target = posts.get(object_id)
-            else:
-                object_id = str(request.params["page_id"])
-                target = pages.get(object_id)
-            if target is None:
-                return None
-            active = account_ok.get(token.user_id)
-            if active is None:
-                account = accounts.get(token.user_id)
-                active = (account is not None
-                          and account.status is AccountStatus.ACTIVE)
-                account_ok[token.user_id] = active
-            if not active:
-                return None
-            key = (token.user_id, object_id)
-            if key in batch_liked or target.liked_by(token.user_id):
-                return None
-            batch_liked.add(key)
-            plan.append((request, token, asn, object_id))
-        pairs = [(req.access_token, req.source_ip)
-                 for req, _, _, _ in plan]
-        if self.enforcer.admit_like_batch(pairs, now) is not None:
-            return None
-        like_post = self.platform.like_post
-        like_page = self.platform.like_page
-        append_row = self.log.append_row
-        responses = []
-        for request, token, asn, object_id in plan:
-            if request.action is ApiAction.LIKE_POST:
-                like = like_post(token.user_id, object_id,
-                                 via_app_id=token.app_id,
-                                 source_ip=request.source_ip)
-            else:
-                like = like_page(token.user_id, object_id,
-                                 via_app_id=token.app_id,
-                                 source_ip=request.source_ip)
-            append_row(now, request.action, request.access_token,
-                       token.user_id, token.app_id, object_id,
-                       request.source_ip, asn, "ok")
-            responses.append(ApiResponse(
-                action=request.action,
-                data={"object_id": like.object_id,
-                      "liker_id": like.liker_id}))
-        return responses
-
-    def charge_like_batch(
-            self, entries: Sequence[Tuple[str, Optional[str]]],
-            appsecret_proof: Optional[str] = None) -> bool:
-        """Vectorized :meth:`charge_like` over ``(token, source_ip)``.
-
-        Token validity, proof, scope, ASN and AS-block checks are
-        amortized per distinct token / app / (app, IP); the rate-limit
-        verdicts are computed for the whole batch and then charged in
-        one pass.  Returns ``True`` when every entry was admitted and
-        charged.  All-or-nothing: if any entry would be rejected the
-        method returns ``False`` with **no state mutated**, and callers
-        replay the batch through scalar :meth:`charge_like` calls to get
-        per-entry errors and partial charges.
-        """
-        inj = self.faults
-        if inj is not None and entries and inj.decide_chunk(
-                len(entries), key=entries[0][0]):
-            return False
-        now = self.clock._now
-        peek = self.tokens.peek
-        apps_get = self.apps.get
-        policy = self.policy
-        resolve = self._resolve_asn
-        token_cache = self._charge_token_cache
-        blocked: Dict[Tuple[str, Optional[str]], bool] = {}
-        # A batch almost always spans one application (a network's
-        # members share its app), so memo the proof-requirement lookup.
-        last_app = None
-        proof_ok = False
-        for access_token, source_ip in entries:
-            cached = token_cache.get(access_token)
-            if cached is None:
-                token = peek(access_token)
-                if (token is None or token.invalidated
-                        or token.is_expired(now)):
-                    return False
-                app = apps_get(token.app_id)
-                granted = token.grants(Permission.PUBLISH_ACTIONS)
-                token_cache[access_token] = (token, app, granted)
-            else:
-                token, app, granted = cached
-                if token.invalidated or now >= token.expires_at:
-                    return False
-            if app is not last_app:
-                last_app = app
-                proof_ok = (not app.security.require_app_secret
-                            or appsecret_proof == app.secret)
-            if not proof_ok:
-                if not verify_appsecret_proof(app.secret, access_token,
-                                              appsecret_proof or ""):
-                    return False
-            if not granted:
-                return False
-            # AS blocking is off (empty blocklist) until the §6.4
-            # intervention lands; skip the per-entry ASN work entirely.
-            if policy.blocked_asns_by_app:
-                key = (app.app_id, source_ip)
-                verdict = blocked.get(key)
-                if verdict is None:
-                    verdict = policy.is_as_blocked(app.app_id,
-                                                   resolve(source_ip))
-                    blocked[key] = verdict
-                if verdict:
-                    return False
-        if self.enforcer.admit_like_batch(entries, now) is not None:
-            return False
-        self.charge_counters["likes"] += len(entries)
-        return True
-
-    # ------------------------------------------------------------------
     # Wave admission (planned delivery waves; see collusion/network.py)
     # ------------------------------------------------------------------
     def delivery_wave(self, post_id: Optional[str] = None) -> "DeliveryWave":
         """Open a :class:`DeliveryWave` at the current clock instant.
 
-        The wave extends :meth:`execute_batch` / :meth:`charge_like_batch`
-        from all-or-nothing chunks to whole planned delivery rounds:
-        per-entry verdicts with the exact semantics (and, fault-free,
-        the exact byte stream) of :meth:`try_like_post` /
-        :meth:`try_charge_like`, but with token validity, app/proof/
-        scope checks and rate-limit window capacities memoized per wave,
-        and rate-limit charges plus request-log rows applied in bulk
-        when the wave flushes."""
+        Every collusion like delivery and background serving event runs
+        through one wave: per-entry verdicts with the exact semantics
+        and byte stream of :meth:`like_post` / :meth:`charge_like`
+        (rejections come back as codes instead of exceptions), but with
+        token/app/scope lookups and rate-limit window capacities
+        memoized per wave, and rate-limit charges plus request-log rows
+        applied in bulk when the wave flushes."""
         return DeliveryWave(self, post_id)
 
     def _resolve_asn(self, source_ip: Optional[str]) -> Optional[int]:
@@ -458,7 +272,9 @@ class GraphApi:
         rate limits are all enforced and charged exactly as in
         :meth:`execute`, but no content is materialized and nothing is
         appended to the request log.  Aggregate volume is tracked in
-        :attr:`charge_counters`.
+        :attr:`charge_counters`.  Collusion background serving charges
+        in bulk through :meth:`DeliveryWave.charge`, which returns this
+        method's rejections as codes.
         """
         now = self.clock.now()
         inj = self.faults
@@ -496,193 +312,6 @@ class GraphApi:
         if violated is not None:
             raise IpRateLimitError(source_ip or "?", violated)
         self.charge_counters["likes"] += 1
-
-    def try_charge_like(self, access_token: str,
-                        source_ip: Optional[str] = None,
-                        appsecret_proof: Optional[str] = None
-                        ) -> Optional[str]:
-        """Non-raising :meth:`charge_like`.
-
-        Identical enforcement, charges and counters, but rejections come
-        back as a code instead of an exception — ``None`` on success,
-        else ``"invalid_token"`` / ``"app_secret"`` / ``"permission"`` /
-        ``"blocked"`` / ``"token_limit"`` / ``"ip_limit"``.  Bulk
-        delivery loops reject millions of requests once the §6
-        countermeasures bite; returning a code keeps that path free of
-        exception construction and unwinding.
-        """
-        # Direct attribute reads of the shared clock / token expiry: this
-        # is the single hottest call site in the simulator, so the method
-        # wrappers are bypassed (the semantics are identical).
-        now = self.clock._now
-        inj = self.faults
-        if inj is not None:
-            fault = inj.decide("CHARGE_LIKE", access_token)
-            if fault == "transient":
-                return "transient"
-            if fault == "timeout":
-                return "timeout"
-            if fault == "rate_limit":
-                return "token_limit"
-            # "invalidate_token" falls through to the validity checks.
-        cached = self._charge_token_cache.get(access_token)
-        if cached is None:
-            token = self.tokens.peek(access_token)
-            if (token is None or token.invalidated
-                    or token.is_expired(now)):
-                return "invalid_token"
-            app = self.apps.get(token.app_id)
-            granted = token.grants(Permission.PUBLISH_ACTIONS)
-            self._charge_token_cache[access_token] = (token, app, granted)
-        else:
-            token, app, granted = cached
-            if token.invalidated or now >= token.expires_at:
-                return "invalid_token"
-        if app.security.require_app_secret and appsecret_proof != app.secret:
-            if not verify_appsecret_proof(app.secret, access_token,
-                                          appsecret_proof or ""):
-                return "app_secret"
-        if not granted:
-            return "permission"
-        policy = self.policy
-        if policy.blocked_asns_by_app:
-            asn = self._resolve_asn(source_ip)
-            if policy.is_as_blocked(app.app_id, asn):
-                return "blocked"
-        enforcer = self.enforcer
-        limiter = enforcer._token_limiter
-        if (policy.ip_likes_per_day is None
-                and policy.ip_likes_per_week is None
-                and limiter.limit == policy.token_actions_per_day):
-            # Inlined token-only admission (admit_like's fast path):
-            # this is the million-plus-per-day rejection loop once §6.1
-            # tightens the budget, so spare it the extra frames.  The
-            # policy-field gate doubles as the _sync() check — any other
-            # configuration (IP limits on, token limit just changed)
-            # falls through to admit_like, which re-syncs the limiters.
-            until = limiter._saturated_until.get(access_token)
-            if until is not None:
-                if now < until:
-                    return "token_limit"
-                del limiter._saturated_until[access_token]
-            events = limiter._events.get(access_token)
-            if events is None:
-                events = limiter._events[access_token] = deque()
-            else:
-                horizon = now - limiter.window_seconds
-                while events and events[0] <= horizon:
-                    events.popleft()
-            if len(events) >= limiter.limit:
-                limiter.mark_saturated(access_token, events)
-                return "token_limit"
-            events.append(now)
-        else:
-            violated = enforcer.admit_like(token.token, source_ip, now)
-            if violated == "token":
-                return "token_limit"
-            if violated is not None:
-                return "ip_limit"
-        self.charge_counters["likes"] += 1
-        return None
-
-    def try_like_post(self, access_token: str, post_id: str,
-                      source_ip: Optional[str] = None,
-                      appsecret_proof: Optional[str] = None
-                      ) -> Optional[str]:
-        """Non-raising :meth:`like_post`.
-
-        Runs the exact :meth:`execute` pipeline for a ``LIKE_POST``
-        request — same enforcement order, same platform write, same log
-        row — but reports rejections as codes (the same vocabulary as
-        :meth:`try_charge_like`, plus ``"platform_error"``) instead of
-        exceptions, sparing the bulk delivery loops millions of raises.
-        """
-        now = self.clock._now
-        inj = self.faults
-        if inj is not None:
-            fault = inj.decide("LIKE_POST", access_token)
-            if fault is not None and fault != "invalidate_token":
-                # The request dies before authentication, so the log row
-                # carries no user/app attribution — like a real 5xx.
-                asn = self._resolve_asn(source_ip)
-                if fault == "transient":
-                    self.log.append_row(
-                        now, ApiAction.LIKE_POST, access_token, None,
-                        None, post_id, source_ip, asn,
-                        TransientApiError.code)
-                    return "transient"
-                if fault == "timeout":
-                    self.log.append_row(
-                        now, ApiAction.LIKE_POST, access_token, None,
-                        None, post_id, source_ip, asn, ApiTimeout.code)
-                    return "timeout"
-                self.log.append_row(
-                    now, ApiAction.LIKE_POST, access_token, None, None,
-                    post_id, source_ip, asn, RateLimitExceededError.code)
-                return "token_limit"
-        cached = self._charge_token_cache.get(access_token)
-        if cached is None:
-            token = self.tokens.peek(access_token)
-            if (token is not None and not token.invalidated
-                    and not token.is_expired(now)):
-                app = self.apps.get(token.app_id)
-                granted = token.grants(Permission.PUBLISH_ACTIONS)
-                self._charge_token_cache[access_token] = (
-                    token, app, granted)
-            else:
-                token = None
-        else:
-            token, app, granted = cached
-            if token.invalidated or now >= token.expires_at:
-                token = None
-        asn = self._resolve_asn(source_ip)
-        append_row = self.log.append_row
-        if token is None:
-            append_row(now, ApiAction.LIKE_POST, access_token, None, None,
-                       post_id, source_ip, asn, "invalid_token")
-            return "invalid_token"
-        user_id = token.user_id
-        app_id = token.app_id
-        if app.security.require_app_secret and appsecret_proof != app.secret:
-            if not verify_appsecret_proof(app.secret, access_token,
-                                          appsecret_proof or ""):
-                append_row(now, ApiAction.LIKE_POST, access_token, user_id,
-                           app_id, post_id, source_ip, asn,
-                           AppSecretRequiredError.code)
-                return "app_secret"
-        if not granted:
-            append_row(now, ApiAction.LIKE_POST, access_token, user_id,
-                       app_id, post_id, source_ip, asn,
-                       PermissionDeniedError.code)
-            return "permission"
-        policy = self.policy
-        if (policy.blocked_asns_by_app
-                and policy.is_as_blocked(app_id, asn)):
-            append_row(now, ApiAction.LIKE_POST, access_token, user_id,
-                       app_id, post_id, source_ip, asn,
-                       BlockedSourceError.code)
-            return "blocked"
-        violated = self.enforcer.admit_like(access_token, source_ip, now)
-        if violated is not None:
-            if violated == "token":
-                append_row(now, ApiAction.LIKE_POST, access_token, user_id,
-                           app_id, post_id, source_ip, asn,
-                           RateLimitExceededError.code)
-                return "token_limit"
-            append_row(now, ApiAction.LIKE_POST, access_token, user_id,
-                       app_id, post_id, source_ip, asn,
-                       IpRateLimitError.code)
-            return "ip_limit"
-        try:
-            self.platform.like_post(user_id, post_id, via_app_id=app_id,
-                                    source_ip=source_ip)
-        except SocialNetworkError:
-            append_row(now, ApiAction.LIKE_POST, access_token, user_id,
-                       app_id, post_id, source_ip, asn, "platform_error")
-            return "platform_error"
-        append_row(now, ApiAction.LIKE_POST, access_token, user_id,
-                   app_id, post_id, source_ip, asn, "ok")
-        return None
 
     # ------------------------------------------------------------------
     # Convenience wrappers
@@ -733,19 +362,21 @@ class DeliveryWave:
 
     Every entry in a wave shares one clock instant, one application and
     (for platform writes) one target post, so the per-request pipeline
-    of :meth:`GraphApi.try_like_post` / :meth:`GraphApi.try_charge_like`
-    collapses: token/app/scope state is memoized per wave (re-validated
-    per entry only while a fault plan is live, which is the only way a
-    token can die mid-wave), rate-limit windows become memoized
-    per-(key, wave-timestamp) capacity transitions via
-    :class:`~repro.graphapi.ratelimit.LikeWaveAdmitter`, and log rows /
+    of :meth:`GraphApi.like_post` / :meth:`GraphApi.charge_like`
+    collapses: the (token, app, scope) lookup is memoized in the shared
+    charge cache, while the token's validity bits are re-checked on
+    every entry (a fault plan's ``invalidate_token`` can kill a token
+    mid-wave); rate-limit windows become memoized per-(key,
+    wave-timestamp) capacity transitions via
+    :class:`~repro.graphapi.ratelimit.LikeWaveAdmitter`; and log rows /
     limiter hits / charge counters land in bulk at :meth:`finish`.
 
     The per-entry verdict codes, bookkeeping order and RNG/fault-stream
-    consumption are byte-identical to the scalar methods, which remain
-    the verification oracle (``batch_requests_enabled = False``).
-    Callers must :meth:`finish` the wave before anything else reads the
-    request log or touches the like limiters.
+    consumption are byte-identical to the raising scalar methods with
+    each exception mapped to its code (the test suite pins this against
+    a reference adapter built on them).  Callers must :meth:`finish` the
+    wave before anything else reads the request log or touches the like
+    limiters.
     """
 
     __slots__ = (
@@ -791,8 +422,9 @@ class DeliveryWave:
     # ------------------------------------------------------------------
     def _lookup(self, access_token: str):
         """Resolve (token, app, granted) via the shared charge cache;
-        ``None`` when the token is dead.  Mirrors the scalar cache
-        discipline exactly (validity bits re-checked per call)."""
+        ``None`` when the token is dead.  Mirrors the cache discipline
+        of :meth:`GraphApi.charge_like` exactly (validity bits
+        re-checked per call)."""
         cached = self._token_cache.get(access_token)
         if cached is None:
             token = self._peek(access_token)
@@ -810,9 +442,13 @@ class DeliveryWave:
 
     def charge(self, access_token: str,
                source_ip: Optional[str] = None) -> Optional[str]:
-        """Wave analogue of :meth:`GraphApi.try_charge_like`: identical
-        enforcement, verdict codes and fault-stream consumption; the
-        limiter charge is pending until :meth:`finish`.
+        """Wave analogue of :meth:`GraphApi.charge_like`: identical
+        enforcement and fault-stream consumption, with each rejection
+        returned as a code (``None`` on success, else
+        ``"invalid_token"`` / ``"app_secret"`` / ``"permission"`` /
+        ``"blocked"`` / ``"token_limit"`` / ``"ip_limit"`` /
+        ``"transient"`` / ``"timeout"``); the limiter charge is pending
+        until :meth:`finish`.
 
         This is the single hottest call in a campaign (millions of
         background charges per simulated day, most of them rejected once
@@ -906,9 +542,12 @@ class DeliveryWave:
 
     def like(self, access_token: str,
              source_ip: Optional[str]) -> Optional[str]:
-        """Wave analogue of :meth:`GraphApi.try_like_post` against the
-        wave's target post: same pipeline, same log-row vocabulary (the
-        rows are buffered until :meth:`finish`), same platform write."""
+        """Wave analogue of :meth:`GraphApi.like_post` against the
+        wave's target post: same pipeline, same log rows (buffered until
+        :meth:`finish`), same platform write; rejections come back as
+        :meth:`charge`'s codes plus ``"platform_error"``.  A fault that
+        kills the request before authentication logs a row with no user
+        or app, like a real 5xx."""
         self._attempts += 1
         inj = self._inj
         push_token = self._tokens.append
@@ -981,9 +620,9 @@ class DeliveryWave:
     def finish(self) -> None:
         """Flush pending limiter charges, log rows and counters.
 
-        Idempotent; the wave must not be used again afterwards (a
-        scalar interlude — e.g. a fault-plan cooldown — invalidates the
-        memoized window capacities, so callers open a fresh wave)."""
+        Idempotent; the wave must not be used again afterwards (any
+        limiter admission outside it invalidates the memoized window
+        capacities, so callers open a fresh wave)."""
         if self._finished:
             return
         self._finished = True

@@ -1,32 +1,30 @@
-"""Wave delivery must be byte-identical to the scalar path.
+"""Wave delivery must be byte-identical to per-request delivery.
 
-The collusion networks deliver likes through planned delivery waves
-(``GraphApi.delivery_wave``) with memoized per-(key, wave-timestamp)
-rate-limit transitions; a study run with batching disabled walks the
-scalar per-request path instead, so both runs must produce the exact
-same request log, rate-limit history and report.
+The collusion networks deliver likes and background charges through
+planned delivery waves (``GraphApi.delivery_wave``) with memoized
+per-(key, wave-timestamp) rate-limit transitions.  A study run with
+``delivery_wave`` routed through :mod:`tests.reference_wave` walks the
+raising per-request ``GraphApi.like_post`` / ``charge_like`` instead,
+so both runs must produce the exact same request log, rate-limit
+history and report — fault-free and under the shipped chaos plan.
 """
 
 from __future__ import annotations
 
 import hashlib
+import pathlib
 
 import pytest
 
 from repro.core.config import StudyConfig
 from repro.experiments import export, runner
-from repro.faults.plan import FaultPlan, FaultRule
+from repro.faults.plan import FaultPlan
+from tests import reference_wave
 
-#: An actively hostile plan for the fault-equivalence tests: transient
-#: errors on the delivery and charge paths, occasional mid-flight token
-#: invalidation, and chunk failures that trip the wave circuit breaker.
-FAULT_PLAN = FaultPlan((
-    FaultRule(kind="transient", probability=0.01,
-              actions=frozenset({"LIKE_POST", "CHARGE_LIKE"})),
-    FaultRule(kind="invalidate_token", probability=0.0005,
-              actions=frozenset({"LIKE_POST"})),
-    FaultRule(kind="chunk", probability=0.02),
-))
+#: The plan the chaos CI job runs: transient errors, timeouts, spurious
+#: rate limits and mid-flight token invalidation on every action.
+CHAOS_PLAN = (pathlib.Path(__file__).resolve().parent.parent
+              / "examples" / "chaos_plan.json")
 
 
 def _log_digest(log) -> str:
@@ -42,17 +40,18 @@ def _run_study(batching: bool, fault_plan: FaultPlan = FaultPlan()):
     config = StudyConfig(scale=0.002, seed=13, milking_days=6,
                          campaign_days=12, fault_plan=fault_plan)
     artifacts = runner.build_world(config)
-    for network in artifacts.ecosystem.networks.values():
-        network.batch_requests_enabled = batching
     api = artifacts.world.api
-    calls = {"delivery_wave": 0}
-    original_delivery_wave = api.delivery_wave
+    if batching:
+        calls = {"delivery_wave": 0}
+        original_delivery_wave = api.delivery_wave
 
-    def counting_delivery_wave(post_id=None):
-        calls["delivery_wave"] += 1
-        return original_delivery_wave(post_id)
+        def counting_delivery_wave(post_id=None):
+            calls["delivery_wave"] += 1
+            return original_delivery_wave(post_id)
 
-    api.delivery_wave = counting_delivery_wave
+        api.delivery_wave = counting_delivery_wave
+    else:
+        calls = reference_wave.install(api)
     runner.run_milking(artifacts)
     runner.run_campaign(artifacts)
     artifacts.wave_calls = calls
@@ -89,10 +88,11 @@ def test_batched_report_matches_scalar_report(batched_artifacts,
 
 
 def test_waves_actually_ran(batched_artifacts, scalar_artifacts):
-    # Guard against the wave path silently never engaging (which would
+    # Guard against either path silently never engaging (which would
     # make the equivalence assertions vacuous).
     assert batched_artifacts.wave_calls["delivery_wave"] > 0
-    assert scalar_artifacts.wave_calls["delivery_wave"] == 0
+    assert scalar_artifacts.wave_calls.get("like", 0) > 0
+    assert scalar_artifacts.wave_calls.get("charge", 0) > 0
 
 
 def test_parallel_experiments_match_serial(batched_artifacts):
@@ -108,20 +108,20 @@ def test_parallel_experiments_match_serial(batched_artifacts):
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def faulted_batched():
-    return _run_study(batching=True, fault_plan=FAULT_PLAN)
+    return _run_study(batching=True, fault_plan=FaultPlan.load(CHAOS_PLAN))
 
 
 @pytest.fixture(scope="module")
 def faulted_scalar():
-    return _run_study(batching=False, fault_plan=FAULT_PLAN)
+    return _run_study(batching=False, fault_plan=FaultPlan.load(CHAOS_PLAN))
 
 
 def test_faulted_wave_matches_scalar(faulted_batched, faulted_scalar):
-    """Chunk faults pace the wave into segments, transients trip retries
-    and mid-flight invalidations kill tokens — and the wave path must
-    still replay the scalar trajectory byte for byte: same fault
-    decisions (the scalar stream is shared; chunk rolls live on their
-    own dedicated stream), same log rows, same charges."""
+    """Transients and timeouts trip retries inside an open wave,
+    spurious rate limits deny entries and mid-flight invalidations kill
+    tokens — and the wave path must still replay the per-request
+    trajectory byte for byte: same fault decisions, same log rows, same
+    charges."""
     batched_world = faulted_batched.world
     scalar_world = faulted_scalar.world
     assert len(batched_world.api.log) == len(scalar_world.api.log)
@@ -129,13 +129,8 @@ def test_faulted_wave_matches_scalar(faulted_batched, faulted_scalar):
             == _log_digest(scalar_world.api.log))
     assert (batched_world.api.charge_counters
             == scalar_world.api.charge_counters)
-    # Identical per-kind scalar fault decisions; chunk decisions are
-    # wave-only by design (the scalar path never opens a chunk).
-    batched_counts = dict(batched_world.faults.counters)
-    scalar_counts = dict(scalar_world.faults.counters)
-    batched_counts.pop("chunk", None)
-    scalar_counts.pop("chunk", None)
-    assert batched_counts == scalar_counts
+    # Identical per-kind fault decisions.
+    assert batched_world.faults.counters == scalar_world.faults.counters
     # Per-network RNG streams ended in the same state.
     for domain, network in faulted_batched.ecosystem.networks.items():
         scalar_network = faulted_scalar.ecosystem.networks[domain]
@@ -151,20 +146,24 @@ def test_faulted_report_matches_scalar(faulted_batched, faulted_scalar):
 
 
 def test_faults_actually_fired(faulted_batched, faulted_scalar):
-    # Non-vacuous: the plan injected faults in both runs, and the wave
-    # run rolled its chunk rules.
+    # Non-vacuous: the plan injected every kind it names, and the wave
+    # run opened waves while the reference run walked per request.
     assert faulted_scalar.world.faults.total_injected() > 0
-    assert faulted_batched.world.faults.counters.get("transient", 0) > 0
-    assert faulted_batched.world.faults.counters.get("chunk", 0) > 0
+    counters = faulted_batched.world.faults.counters
+    for rule in FaultPlan.load(CHAOS_PLAN).rules:
+        assert counters.get(rule.kind, 0) > 0, rule.kind
+    assert faulted_batched.wave_calls["delivery_wave"] > 0
+    assert faulted_scalar.wave_calls.get("like", 0) > 0
+    assert faulted_scalar.wave_calls.get("charge", 0) > 0
 
 
 def test_delivery_attempts_stay_within_budget(faulted_batched,
                                               faulted_scalar):
     """Attempt accounting regression: a delivery round's ``attempts``
     is bounded by its retry budget and never below ``delivered`` — a
-    chunk fallback must not double-count the entries it re-walks
-    through the scalar loop.  Both studies left identical state, so one
-    further request must also produce field-identical reports."""
+    retried entry must not count as a second attempt.  Both studies
+    left identical state, so one further request must also produce
+    field-identical reports."""
     probes = {}
     for name, artifacts in (("wave", faulted_batched),
                             ("scalar", faulted_scalar)):

@@ -5,12 +5,13 @@ run-to-run identical)."""
 from __future__ import annotations
 
 import hashlib
+import pathlib
 
 import pytest
 
 from repro.core.config import StudyConfig
 from repro.core.world import World
-from repro.experiments import runner
+from repro.experiments import runner, table3
 from repro.faults.plan import (
     FaultInjector,
     FaultPlan,
@@ -19,7 +20,6 @@ from repro.faults.plan import (
     transient_plan,
 )
 from repro.graphapi.errors import ApiTimeout, TransientApiError
-from repro.graphapi.request import ApiAction, ApiRequest
 from repro.oauth.apps import AppSecuritySettings
 from repro.oauth.errors import InvalidTokenError
 from repro.oauth.scopes import PermissionScope
@@ -35,6 +35,8 @@ from repro.sim.rng import RngFactory
 def test_rule_validation():
     with pytest.raises(ValueError):
         FaultRule(kind="nope", probability=0.1)
+    with pytest.raises(ValueError):
+        FaultRule(kind="chunk", probability=0.1)
     with pytest.raises(ValueError):
         FaultRule(kind="transient", probability=1.5)
     with pytest.raises(ValueError):
@@ -64,11 +66,31 @@ def test_plan_json_round_trip(tmp_path):
     assert FaultPlan.from_json(plan.to_json()) == plan
 
 
+EXAMPLE_PLANS = sorted(
+    (pathlib.Path(__file__).resolve().parent.parent / "examples")
+    .glob("*_plan.json"))
+
+
+def test_example_plans_exist():
+    names = {path.name for path in EXAMPLE_PLANS}
+    assert {"chaos_plan.json", "crash_plan.json"} <= names
+
+
+@pytest.mark.parametrize("path", EXAMPLE_PLANS, ids=lambda p: p.name)
+def test_example_plan_loads_and_round_trips(path):
+    """Every shipped plan names only live fault kinds and survives a
+    JSON round trip, so a plan CI feeds to ``--faults`` fails here
+    first when a kind is removed."""
+    plan = FaultPlan.load(str(path))
+    assert plan
+    assert FaultPlan.from_json(plan.to_json()) == plan
+
+
 def test_empty_plan_is_falsy():
     assert not FaultPlan()
     assert transient_plan()
     assert FaultPlan().with_rule(
-        FaultRule(kind="chunk", probability=0.1))
+        FaultRule(kind="timeout", probability=0.1))
 
 
 # ----------------------------------------------------------------------
@@ -103,27 +125,17 @@ def test_injector_respects_day_window():
     assert inj.decide("LIKE_POST", "tok") is None
 
 
-def test_injector_chunk_rules_separate_from_scalar():
-    plan = FaultPlan((FaultRule(kind="chunk", probability=1.0),))
-    inj, _clock = _injector(plan)
-    assert inj.decide("LIKE_POST", "tok") is None
-    assert inj.decide_chunk(48)
-    assert inj.total_injected() == 1
-
-
 def test_injector_seeds_and_torn_tail_bytes_are_pinned():
     """The namespace seeds are drawn in a fixed order from the
-    ``faults`` streams (the unused "crash" draw included), so a fixed
+    ``faults`` stream (the unused "crash" draw included), so a fixed
     master seed fixes every seed and every torn-tail byte count."""
     plan = FaultPlan((FaultRule(kind="torn_tail", probability=1.0),))
     factory = RngFactory(2017)
-    inj = FaultInjector(plan, factory.stream("faults"), SimClock(),
-                        chunk_rng=factory.stream("faults:chunk"))
+    inj = FaultInjector(plan, factory.stream("faults"), SimClock())
     assert inj._seeds == {
         "s": 17794455416699221527,
         "crash": 14392463166467106935,
         "torn": 8108114514053306194,
-        "c": 4292753535543459371,
     }
     assert [inj.decide_torn_tail(day) for day in range(4)] == [
         66, 96, 51, 73]
@@ -176,19 +188,50 @@ def test_invalidate_token_fault_kills_token_mid_flight():
     assert stored.invalidation_reason == "fault_injection"
 
 
-def test_chunk_fault_fails_whole_batch():
-    plan = FaultPlan((FaultRule(kind="chunk", probability=1.0),))
-    world, post, token = _world_with_plan(plan)
-    requests = [ApiRequest(ApiAction.LIKE_POST, token,
-                           {"post_id": post.post_id})]
-    assert world.api.execute_batch(requests) is None
-    # The failed batch performed nothing.
-    assert not world.platform.get_post(post.post_id).likes
-
-
 def test_try_like_post_returns_transient_code():
     world, post, token = _world_with_plan(transient_plan(1.0))
-    assert world.api.try_like_post(token, post.post_id) == "transient"
+    wave = world.api.delivery_wave(post.post_id)
+    assert wave.like(token, None) == "transient"
+    wave.finish()
+    # The request died before authentication: one row, no attribution.
+    rows = world.api.log.all()
+    assert len(rows) == 1
+    assert rows[0].outcome == "transient_error"
+    assert rows[0].user_id is None
+    assert rows[0].app_id is None
+
+
+class _ScriptedFaults:
+    """Stands in for a FaultInjector: injects ``script`` in order into
+    GET_APP_STATS calls (``None`` = no fault), then nothing."""
+
+    def __init__(self, tokens, script) -> None:
+        self.tokens = tokens
+        self.script = list(script)
+
+    def decide(self, action, access_token):
+        if action != "GET_APP_STATS" or not self.script:
+            return None
+        kind = self.script.pop(0)
+        if kind == "invalidate_token":
+            self.tokens.invalidate(access_token, reason="fault_injection")
+        return kind
+
+
+def test_table3_rides_out_injected_stats_faults(catalog_world):
+    """Table 3's stats calls survive transient errors, timeouts,
+    rate-limit jitter and a probe token killed mid-flight, and report
+    what a fault-free run reports."""
+    world, _catalog = catalog_world
+    clean = table3.run(world)
+    world.api.faults = _ScriptedFaults(
+        world.tokens,
+        # Three faults on the first app's attempts, a timeout on the
+        # second app's first attempt.
+        ["transient", "rate_limit", "invalidate_token", None, "timeout"])
+    faulted = table3.run(world)
+    assert not world.api.faults.script
+    assert faulted.render() == clean.render()
 
 
 # ----------------------------------------------------------------------
