@@ -22,7 +22,7 @@ import math
 import random
 from bisect import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Container, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.collusion.comments import CommentDictionary
 from repro.collusion.monetization import (
@@ -59,10 +59,7 @@ class DeliveryReport:
     transient_failures: int = 0
     #: Retry attempts spent on transient failures during this delivery.
     retries: int = 0
-    #: Retry loops that gave up with attempts left to burn but the
-    #: elapsed-time budget (``RetryPolicy.max_elapsed``) exhausted...
-    giveups_deadline: int = 0
-    #: ...vs loops that burned the full attempt budget.
+    #: Retry loops that burned the full attempt budget.
     giveups_attempts: int = 0
     halted: bool = False  # no usable IPs left: delivery cannot continue
 
@@ -93,7 +90,7 @@ class MemberDirectory:
     def __len__(self) -> int:
         return len(self._accounts)
 
-    def draw_member(self, exclude: Set[str],
+    def draw_member(self, exclude: Container[str],
                     country_mix: Optional[Sequence[Tuple[str, float]]] = None) -> str:
         """An account for a new membership: usually fresh, sometimes an
         existing colluder from another network."""
@@ -261,7 +258,7 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_member_op_
         member's account id."""
         if account_id is None:
             account_id = self.directory.draw_member(
-                exclude=set(self.token_db), country_mix=self._country_mix())
+                exclude=self.token_db, country_mix=self._country_mix())
         country = self.world.platform.get_account(account_id).country
         if self.short_url_slug is not None:
             self.world.shortener.click(
@@ -577,10 +574,6 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_member_op_
             TELEMETRY.count("delivery_giveups_total",
                             report.giveups_attempts,
                             network=domain, reason="attempts")
-        if report.giveups_deadline:
-            TELEMETRY.count("delivery_giveups_total",
-                            report.giveups_deadline,
-                            network=domain, reason="deadline")
 
     def _wave_like_run(self, wave, quota: int, budget: int,
                        used: Set[str], report: DeliveryReport) -> None:
@@ -613,15 +606,12 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_member_op_
             if code in _TRANSIENT_CODES:
                 before = counters["retries"]
                 attempts0 = counters["giveups_attempts"]
-                deadline0 = counters["giveups_deadline"]
                 code = retry_policy.retry(
                     "like_post", member, now,
                     lambda: wave_like(token, ip), code)
                 report.retries += counters["retries"] - before
                 report.giveups_attempts += (
                     counters["giveups_attempts"] - attempts0)
-                report.giveups_deadline += (
-                    counters["giveups_deadline"] - deadline0)
             if code is not None:
                 if code == "invalid_token":
                     self._drop_member(member)
@@ -715,14 +705,11 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_member_op_
         counters = policy.counters
         before = counters["retries"]
         attempts0 = counters["giveups_attempts"]
-        deadline0 = counters["giveups_deadline"]
         code = policy.retry("comment", member, self.world.clock._now,
                             attempt, "transient")
         report.retries += counters["retries"] - before
         report.giveups_attempts += (
             counters["giveups_attempts"] - attempts0)
-        report.giveups_deadline += (
-            counters["giveups_deadline"] - deadline0)
         return code
 
     # ------------------------------------------------------------------
@@ -823,7 +810,7 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_member_op_
         idx = self.rng.randrange(len(self._requester_pool))
         requester = self._requester_pool[idx]
         if requester is None:
-            requester = self.directory.draw_member(exclude=set())
+            requester = self.directory.draw_member(exclude=())
             self._requester_pool[idx] = requester
         post = self.world.platform.create_post(  # reprolint: disable=RL301 — a requester posting on their own wall models the first-party UI; only the subsequent likes flow through the Graph API
             requester, f"please like my post ({self.domain})")
@@ -1008,16 +995,3 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_member_op_
                 self._blocked_asns.add(asn)
                 self._invalidate_ip_cache()
         return False
-
-    def _binomial(self, n: int, p: float) -> int:
-        if n <= 0 or p <= 0:
-            return 0
-        if p >= 1.0:
-            return n
-        mean = n * p
-        if n > 200 and mean > 5:
-            # Normal approximation keeps daily replenishment O(1) even
-            # for six-figure member pools.
-            std = (n * p * (1.0 - p)) ** 0.5
-            return max(0, min(n, int(round(self.rng.gauss(mean, std)))))
-        return sum(1 for _ in range(n) if self.rng.random() < p)

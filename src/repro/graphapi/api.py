@@ -15,7 +15,7 @@ Every request — successful or not — lands in the :class:`RequestLog`.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.graphapi.errors import (
@@ -357,6 +357,21 @@ class GraphApi:
             ApiAction.GET_APP_STATS, access_token, {"app_id": app_id}))
 
 
+#: Wave result code -> the request-log outcome the raising path logs.
+_LOG_OUTCOMES = {
+    None: "ok",
+    "invalid_token": "invalid_token",
+    "app_secret": AppSecretRequiredError.code,
+    "permission": PermissionDeniedError.code,
+    "blocked": BlockedSourceError.code,
+    "token_limit": RateLimitExceededError.code,
+    "ip_limit": IpRateLimitError.code,
+    "transient": TransientApiError.code,
+    "timeout": ApiTimeout.code,
+    "platform_error": "platform_error",
+}
+
+
 class DeliveryWave:
     """Bulk admission context for one planned delivery wave.
 
@@ -383,8 +398,8 @@ class DeliveryWave:
         "api", "now", "post_id", "_inj", "_admitter", "_token_cache",
         "_peek", "_apps_get", "_policy", "_resolve", "_like_post",
         "_tokens", "_users", "_apps", "_ips", "_asns", "_outcomes",
-        "_charged", "_finished", "_last_app", "_proof_skip",
-        "_attempts", "_denied_token", "_denied_ip", "_span",
+        "_charged", "_finished", "_attempts", "_denied_token",
+        "_denied_ip", "_span",
     )
 
     def __init__(self, api: GraphApi, post_id: Optional[str]) -> None:
@@ -414,31 +429,63 @@ class DeliveryWave:
         self._denied_token = 0
         self._denied_ip = 0
         self._span = TRACER.begin("wave")
-        # Waves span one network whose members share an app, so the
-        # proof-requirement lookup memoizes on app identity.
-        self._last_app = None
-        self._proof_skip = False
 
     # ------------------------------------------------------------------
-    def _lookup(self, access_token: str):
-        """Resolve (token, app, granted) via the shared charge cache;
-        ``None`` when the token is dead.  Mirrors the cache discipline
-        of :meth:`GraphApi.charge_like` exactly (validity bits
-        re-checked per call)."""
+    def _fault(self, action: str, access_token: str) -> Optional[str]:
+        """Roll the fault plan for one entry: the injected failure's
+        code, or ``None`` when the request proceeds (an
+        ``invalidate_token`` fault has already killed the token, which
+        the verdict then reports as ``"invalid_token"``)."""
+        fault = self._inj.decide(action, access_token)
+        if fault == "invalidate_token":
+            return None
+        if fault == "rate_limit":
+            self._denied_token += 1
+            return "token_limit"
+        return fault
+
+    def _verdict(self, access_token: str,
+                 source_ip: Optional[str]) -> Optional[str]:
+        """Admission for one entry, in the raising path's order: token
+        validity, appsecret proof, scope, AS block, then the IP and
+        token windows.  ``None`` admits (the limiter charge is pending
+        until :meth:`finish`); otherwise the rejection's code.
+
+        (token, app, granted) is memoized in the charge cache shared
+        with :meth:`GraphApi.charge_like`; the token's validity bits
+        are re-checked on every call."""
         cached = self._token_cache.get(access_token)
         if cached is None:
             token = self._peek(access_token)
             if (token is None or token.invalidated
                     or token.is_expired(self.now)):
-                return None
+                return "invalid_token"
             app = self._apps_get(token.app_id)
             granted = token.grants(Permission.PUBLISH_ACTIONS)
             self._token_cache[access_token] = (token, app, granted)
-            return token, app, granted
-        token, app, granted = cached
-        if token.invalidated or self.now >= token.expires_at:
+        else:
+            token, app, granted = cached
+            if token.invalidated or self.now >= token.expires_at:
+                return "invalid_token"
+        if (app.security.require_app_secret
+                and not verify_appsecret_proof(app.secret, access_token,
+                                               "")):
+            return "app_secret"
+        if not granted:
+            return "permission"
+        policy = self._policy
+        if (policy.blocked_asns_by_app
+                and policy.is_as_blocked(app.app_id,
+                                         self._resolve(source_ip))):
+            return "blocked"
+        violated = self._admitter.admit(access_token, source_ip)
+        if violated is None:
             return None
-        return cached
+        if violated == "token":
+            self._denied_token += 1
+            return "token_limit"
+        self._denied_ip += 1
+        return "ip_limit"
 
     def charge(self, access_token: str,
                source_ip: Optional[str] = None) -> Optional[str]:
@@ -448,97 +495,16 @@ class DeliveryWave:
         ``"invalid_token"`` / ``"app_secret"`` / ``"permission"`` /
         ``"blocked"`` / ``"token_limit"`` / ``"ip_limit"`` /
         ``"transient"`` / ``"timeout"``); the limiter charge is pending
-        until :meth:`finish`.
-
-        This is the single hottest call in a campaign (millions of
-        background charges per simulated day, most of them rejected once
-        the §6.1 budget saturates), so the lookup and the token-only
-        admission are fully inlined."""
+        until :meth:`finish`."""
         self._attempts += 1
-        inj = self._inj
-        if inj is not None:
-            fault = inj.decide("CHARGE_LIKE", access_token)
-            if fault == "transient":
-                return "transient"
-            if fault == "timeout":
-                return "timeout"
-            if fault == "rate_limit":
-                self._denied_token += 1
-                return "token_limit"
-        now = self.now
-        cached = self._token_cache.get(access_token)
-        if cached is None:
-            token = self._peek(access_token)
-            if (token is None or token.invalidated
-                    or token.is_expired(now)):
-                return "invalid_token"
-            app = self._apps_get(token.app_id)
-            granted = token.grants(Permission.PUBLISH_ACTIONS)
-            self._token_cache[access_token] = (token, app, granted)
-        else:
-            token, app, granted = cached
-            if token.invalidated or now >= token.expires_at:
-                return "invalid_token"
-        if app is not self._last_app:
-            self._last_app = app
-            self._proof_skip = not app.security.require_app_secret
-        if not self._proof_skip:
-            if not verify_appsecret_proof(app.secret, access_token, ""):
-                return "app_secret"
-        if not granted:
-            return "permission"
-        policy = self._policy
-        if policy.blocked_asns_by_app:
-            if policy.is_as_blocked(app.app_id, self._resolve(source_ip)):
-                return "blocked"
-        adm = self._admitter
-        if adm.token_only:
-            rooms = adm._rooms
-            room = rooms.get(access_token)
-            if room is None:
-                # First touch this wave: resolve the token's remaining
-                # window capacity (LikeWaveAdmitter._room_of, inlined).
-                limiter = adm._token_limiter
-                until = limiter._saturated_until.get(access_token)
-                if until is not None:
-                    if now < until:
-                        rooms[access_token] = -1
-                        self._denied_token += 1
-                        return "token_limit"
-                    del limiter._saturated_until[access_token]
-                events = limiter._events.get(access_token)
-                if events is None:
-                    events = limiter._events[access_token] = deque()
-                else:
-                    horizon = now - limiter.window_seconds
-                    while events and events[0] <= horizon:
-                        events.popleft()
-                adm._events[access_token] = events
-                room = limiter.limit - len(events)
-                if room <= 0:
-                    limiter.mark_saturated(access_token, events)
-                    rooms[access_token] = -1
-                    self._denied_token += 1
-                    return "token_limit"
-            elif room <= 0:
-                if room == 0:
-                    adm._exhaust(adm._token_limiter, access_token, rooms,
-                                 adm._events, adm._pending)
-                self._denied_token += 1
-                return "token_limit"
-            rooms[access_token] = room - 1
-            pending = adm._pending
-            pending[access_token] = pending.get(access_token, 0) + 1
-        else:
-            violated = adm.admit(access_token, source_ip)
-            if violated is not None:
-                if violated == "token":
-                    self._denied_token += 1
-                    return "token_limit"
-                self._denied_ip += 1
-                return "ip_limit"
-        self._charged += 1
-        return None
+        if self._inj is not None:
+            code = self._fault("CHARGE_LIKE", access_token)
+            if code is not None:
+                return code
+        code = self._verdict(access_token, source_ip)
+        if code is None:
+            self._charged += 1
+        return code
 
     def like(self, access_token: str,
              source_ip: Optional[str]) -> Optional[str]:
@@ -546,76 +512,31 @@ class DeliveryWave:
         wave's target post: same pipeline, same log rows (buffered until
         :meth:`finish`), same platform write; rejections come back as
         :meth:`charge`'s codes plus ``"platform_error"``.  A fault that
-        kills the request before authentication logs a row with no user
-        or app, like a real 5xx."""
+        kills the request before authentication, like a dead token, logs
+        a row with no user or app, as a real 5xx would."""
         self._attempts += 1
-        inj = self._inj
-        push_token = self._tokens.append
-        push_user = self._users.append
-        push_app = self._apps.append
-        push_ip = self._ips.append
-        push_asn = self._asns.append
-        push_outcome = self._outcomes.append
-        if inj is not None:
-            fault = inj.decide("LIKE_POST", access_token)
-            if fault is not None and fault != "invalidate_token":
-                push_token(access_token)
-                push_user(None)
-                push_app(None)
-                push_ip(source_ip)
-                push_asn(self._resolve(source_ip))
-                if fault == "transient":
-                    push_outcome(TransientApiError.code)
-                    return "transient"
-                if fault == "timeout":
-                    push_outcome(ApiTimeout.code)
-                    return "timeout"
-                push_outcome(RateLimitExceededError.code)
-                self._denied_token += 1
-                return "token_limit"
-        resolved = self._lookup(access_token)
-        asn = self._resolve(source_ip)
-        push_token(access_token)
-        push_ip(source_ip)
-        push_asn(asn)
-        if resolved is None:
-            push_user(None)
-            push_app(None)
-            push_outcome("invalid_token")
-            return "invalid_token"
-        token, app, granted = resolved
-        user_id = token.user_id
-        app_id = token.app_id
-        push_user(user_id)
-        push_app(app_id)
-        if app.security.require_app_secret:
-            if not verify_appsecret_proof(app.secret, access_token, ""):
-                push_outcome(AppSecretRequiredError.code)
-                return "app_secret"
-        if not granted:
-            push_outcome(PermissionDeniedError.code)
-            return "permission"
-        policy = self._policy
-        if policy.blocked_asns_by_app and policy.is_as_blocked(app_id, asn):
-            push_outcome(BlockedSourceError.code)
-            return "blocked"
-        violated = self._admitter.admit(access_token, source_ip)
-        if violated is not None:
-            if violated == "token":
-                push_outcome(RateLimitExceededError.code)
-                self._denied_token += 1
-                return "token_limit"
-            push_outcome(IpRateLimitError.code)
-            self._denied_ip += 1
-            return "ip_limit"
-        try:
-            self._like_post(user_id, self.post_id, via_app_id=app_id,
-                            source_ip=source_ip)
-        except SocialNetworkError:
-            push_outcome("platform_error")
-            return "platform_error"
-        push_outcome("ok")
-        return None
+        code = user_id = app_id = None
+        if self._inj is not None:
+            code = self._fault("LIKE_POST", access_token)
+        if code is None:
+            code = self._verdict(access_token, source_ip)
+            if code != "invalid_token":
+                token = self._token_cache[access_token][0]
+                user_id = token.user_id
+                app_id = token.app_id
+            if code is None:
+                try:
+                    self._like_post(user_id, self.post_id,
+                                    via_app_id=app_id, source_ip=source_ip)
+                except SocialNetworkError:
+                    code = "platform_error"
+        self._tokens.append(access_token)
+        self._users.append(user_id)
+        self._apps.append(app_id)
+        self._ips.append(source_ip)
+        self._asns.append(self._resolve(source_ip))
+        self._outcomes.append(_LOG_OUTCOMES[code])
+        return code
 
     def finish(self) -> None:
         """Flush pending limiter charges, log rows and counters.

@@ -23,17 +23,13 @@ DEFAULT_TOKEN_ACTIONS_PER_DAY = 600
 REDUCED_TOKEN_ACTIONS_PER_DAY = 40
 
 
-# The eviction memo (_evict_now/_evicted) is a process-transient
-# same-timestamp cache: it is only meaningful while this process sits
-# at one `now`, so checkpoint snapshots (PolicyEnforcer._dump_limiter)
-# deliberately omit it and installs reset it (a forced re-eviction is
-# an idempotent no-op).
 class SlidingWindowLimiter:
     """Counts events per key within a sliding time window.
 
-    ``allow(key, now)`` answers whether one more event fits under
-    ``limit``; ``hit(key, now)`` records the event.  Old timestamps are
-    evicted lazily per key.
+    :meth:`full` is the one admission check; ``hit(key, now)`` records
+    an event.  Old timestamps are evicted lazily per key (a second
+    eviction at the same ``now`` pops nothing, since events are only
+    ever recorded at the current time).
     """
 
     def __init__(self, limit: int, window_seconds: int) -> None:
@@ -49,67 +45,52 @@ class SlidingWindowLimiter:
         # its deque is static and that time is exact — repeated rejects
         # become one dict probe instead of an eviction pass.
         self._saturated_until: Dict[str, int] = {}
-        # Eviction memo: keys already evicted at `_evict_now`.  Events
-        # are only ever appended at the current time, and an event
-        # appended at `now` cannot fall behind the `now - window`
-        # horizon, so a second eviction pass at the same timestamp is
-        # provably a no-op.
-        self._evict_now = -1
-        self._evicted: Set[str] = set()
 
     def _evict(self, key: str, now: int) -> Deque[int]:
         events = self._events.get(key)
         if events is None:
             events = self._events[key] = deque()
             return events
-        if now != self._evict_now:
-            self._evict_now = now
-            self._evicted.clear()
-        elif key in self._evicted:
-            return events
         horizon = now - self.window_seconds
         while events and events[0] <= horizon:
             events.popleft()
-        self._evicted.add(key)
         return events
 
-    def saturated(self, key: str, now: int) -> bool:
-        """Whether ``key`` is memoized as still at its limit."""
-        until = self._saturated_until.get(key)
-        if until is None:
-            return False
-        if now < until:
-            return True
-        del self._saturated_until[key]
-        return False
+    def full(self, key: str, now: int) -> bool:
+        """Whether ``key`` is at its limit at ``now``: the limiter's one
+        admission check.
 
-    def mark_saturated(self, key: str, events: Deque[int]) -> None:
-        """Memoize a full window: admits resume once the
+        A memoized full key answers from the saturation memo.  Otherwise
+        the key's window is evicted to ``now`` (and left in
+        ``_events[key]`` for the caller to charge) and compared with the
+        limit; a full window memoizes when admits resume, once its
         ``len(events) - limit + 1`` oldest events have expired."""
+        until = self._saturated_until.get(key)
+        if until is not None:
+            if now < until:
+                return True
+            del self._saturated_until[key]
+        events = self._evict(key, now)
+        if len(events) < self.limit:
+            return False
         self._saturated_until[key] = (events[len(events) - self.limit]
                                       + self.window_seconds)
         if _SANITIZER.enabled:
             _SANITIZER.record_limiter("saturate", redact_token(key))
+        return True
 
     def usage(self, key: str, now: int) -> int:
         """Events currently counted against ``key``."""
         return len(self._evict(key, now))
-
-    def allow(self, key: str, now: int) -> bool:
-        return len(self._evict(key, now)) < self.limit
 
     def hit(self, key: str, now: int) -> None:
         self._evict(key, now).append(now)
 
     def try_acquire(self, key: str, now: int) -> bool:
         """Atomically check-and-record; True if the event was admitted."""
-        if self.saturated(key, now):
+        if self.full(key, now):
             return False
-        events = self._evict(key, now)
-        if len(events) >= self.limit:
-            self.mark_saturated(key, events)
-            return False
-        events.append(now)
+        self._events[key].append(now)
         return True
 
 
@@ -198,61 +179,29 @@ class PolicyEnforcer:
 
     def admit_like(self, token: str, source_ip: Optional[str],
                    now: int) -> Optional[str]:
-        """Fused :meth:`admit_ip_like` + :meth:`admit_token_action`.
+        """Check-and-record one like: the §6.4 per-IP windows, then the
+        §6.1 per-token budget.
 
-        One policy sync and one eviction pass per limiter instead of
-        five; charges exactly as the two-call sequence does (IP windows
-        are charged even when the token budget then rejects).  Returns
-        ``None`` if admitted, else the violated limit name (``"daily"``
-        / ``"weekly"`` / ``"token"``).
+        Returns ``None`` if admitted, else the violated limit name
+        (``"daily"`` / ``"weekly"`` / ``"token"``).  IP windows are
+        charged even when the token budget then rejects; requests
+        without a source IP are never IP-limited.
         """
         self._sync()
-        if self._ip_day_limiter is None and self._ip_week_limiter is None:
-            # Fast path while the §6.4 IP limits are off: only the token
-            # budget is live.
-            limiter = self._token_limiter
-            until = limiter._saturated_until.get(token)
-            if until is not None:
-                if now < until:
-                    return "token"
-                del limiter._saturated_until[token]
-            events = limiter._evict(token, now)
-            if len(events) >= limiter.limit:
-                limiter.mark_saturated(token, events)
-                return "token"
-            events.append(now)
-            return None
         if source_ip is not None:
-            day_events = week_events = None
             day = self._ip_day_limiter
-            if day is not None:
-                if day.saturated(source_ip, now):
-                    return "daily"
-                day_events = day._evict(source_ip, now)
-                if len(day_events) >= day.limit:
-                    day.mark_saturated(source_ip, day_events)
-                    return "daily"
             week = self._ip_week_limiter
+            if day is not None and day.full(source_ip, now):
+                return "daily"
+            if week is not None and week.full(source_ip, now):
+                return "weekly"
+            if day is not None:
+                day.hit(source_ip, now)
             if week is not None:
-                if week.saturated(source_ip, now):
-                    return "weekly"
-                week_events = week._evict(source_ip, now)
-                if len(week_events) >= week.limit:
-                    week.mark_saturated(source_ip, week_events)
-                    return "weekly"
-            if day_events is not None:
-                day_events.append(now)
-            if week_events is not None:
-                week_events.append(now)
-        limiter = self._token_limiter
-        if limiter.saturated(token, now):
-            return "token"
-        events = limiter._evict(token, now)
-        if len(events) >= limiter.limit:
-            limiter.mark_saturated(token, events)
-            return "token"
-        events.append(now)
-        return None
+                week.hit(source_ip, now)
+        if self._token_limiter.try_acquire(token, now):
+            return None
+        return "token"
 
     # ------------------------------------------------------------------
     # Wave admission (memoized per-(key, wave-timestamp) transitions)
@@ -293,8 +242,6 @@ class PolicyEnforcer:
         limiter._events = {key: deque(events)
                            for key, events in state["events"].items()}
         limiter._saturated_until = dict(state["saturated"])
-        limiter._evict_now = -1
-        limiter._evicted.clear()
 
     def export_state(self) -> Dict:
         """Full policy + window state for a campaign checkpoint."""
@@ -329,40 +276,19 @@ class PolicyEnforcer:
         self._load_limiter(self._ip_day_limiter, state["ip_day"])
         self._load_limiter(self._ip_week_limiter, state["ip_week"])
 
-    def admit_ip_like(self, source_ip: Optional[str], now: int) -> Optional[str]:
-        """Check-and-record one like from ``source_ip``.
-
-        Returns None if admitted, otherwise the name of the violated
-        window ("daily" / "weekly").  Requests without a source IP are
-        never IP-limited.
-        """
-        self._sync()
-        if source_ip is None:
-            return None
-        if (self._ip_day_limiter is not None
-                and not self._ip_day_limiter.allow(source_ip, now)):
-            return "daily"
-        if (self._ip_week_limiter is not None
-                and not self._ip_week_limiter.allow(source_ip, now)):
-            return "weekly"
-        if self._ip_day_limiter is not None:
-            self._ip_day_limiter.hit(source_ip, now)
-        if self._ip_week_limiter is not None:
-            self._ip_week_limiter.hit(source_ip, now)
-        return None
-
 
 class LikeWaveAdmitter:
     """Memoized admission state for one delivery wave.
 
     All requests in a wave share one timestamp, so a key's sliding
     window cannot lose events mid-wave: its admission capacity ("room")
-    is a single number computed once — saturation memo, eviction, limit
-    — and every further admission for that key is a dict probe plus a
-    decrement.  Pending hits are appended to the deques in one bulk
-    :meth:`flush`, which leaves limiter state byte-identical to the
-    equivalent scalar :meth:`PolicyEnforcer.admit_like` sequence
-    (including the saturation memos the scalar path would have set).
+    is a single number computed once, by the limiter's
+    :meth:`~SlidingWindowLimiter.full` check, and every further
+    admission for that key is a dict probe plus a decrement.  Pending
+    hits are appended to the deques in one bulk :meth:`flush`, which
+    leaves limiter state byte-identical to the equivalent scalar
+    :meth:`PolicyEnforcer.admit_like` sequence (including the
+    saturation memos the scalar path would have set).
 
     Room encoding per key: ``n > 0`` admits remain; ``0`` the wave
     consumed the window but no request has been rejected yet (the
@@ -398,34 +324,13 @@ class LikeWaveAdmitter:
     def _room_of(self, limiter: SlidingWindowLimiter, key: str,
                  rooms: Dict[str, int],
                  events_memo: Dict[str, Deque[int]]) -> int:
-        """First touch of ``key`` this wave: resolve its capacity.
-
-        Eviction is inlined rather than routed through
-        :meth:`SlidingWindowLimiter._evict`: a wave touches each key's
-        deque exactly once, so the limiter's same-timestamp eviction
-        memo could never hit here and the pops land in the identical
-        deque state."""
-        now = self.now
-        until = limiter._saturated_until.get(key)
-        if until is not None:
-            if now < until:
-                rooms[key] = -1
-                return -1
-            del limiter._saturated_until[key]
-        events = limiter._events.get(key)
-        if events is None:
-            events = limiter._events[key] = deque()
-        else:
-            horizon = now - limiter.window_seconds
-            while events and events[0] <= horizon:
-                events.popleft()
-        events_memo[key] = events
-        room = limiter.limit - len(events)
-        if room <= 0:
-            limiter.mark_saturated(key, events)
+        """First touch of ``key`` this wave: resolve its capacity
+        through the limiter's one check, :meth:`SlidingWindowLimiter.full`."""
+        if limiter.full(key, self.now):
             rooms[key] = -1
             return -1
-        rooms[key] = room
+        events = events_memo[key] = limiter._events[key]
+        room = rooms[key] = limiter.limit - len(events)
         return room
 
     def _exhaust(self, limiter: SlidingWindowLimiter, key: str,

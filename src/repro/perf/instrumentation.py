@@ -89,12 +89,6 @@ class StageTimer:
         self.stages.clear()
         self.counters.clear()
 
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        return {
-            "stages": dict(self.stages),
-            "counters": dict(self.counters),
-        }
-
 
 #: Process-global timer for instrumentation points that sit too deep to
 #: thread a timer through (reset it before benchmarking a run).

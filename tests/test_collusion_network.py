@@ -193,3 +193,29 @@ def test_monetization_premium_quota(built):
     premium = net.monetization.likes_per_request_for(hp.account_id)
     assert premium == 2000 > free
     assert net.monetization.monthly_revenue_usd() == pytest.approx(29.99)
+
+
+def test_seeded_membership_digest_is_pinned():
+    """Every network's member list and token DB in a small seeded world.
+
+    ``join`` hands its own token DB to ``MemberDirectory.draw_member``
+    as the exclusion set instead of a per-join copy; the pinned digest
+    shows that the cheaper call draws exactly the same members.
+    """
+    import hashlib
+
+    from repro.core.config import StudyConfig
+    from repro.experiments.runner import build_world
+
+    artifacts = build_world(StudyConfig(scale=0.004, seed=13))
+    digest = hashlib.blake2b(digest_size=16)
+    for domain, net in sorted(artifacts.ecosystem.networks.items()):
+        digest.update(domain.encode() + b"\0")
+        for member in net._member_list:
+            digest.update(member.encode() + b"\0")
+        digest.update(b"\1")
+        for member, token in net.token_db.items():
+            digest.update(f"{member}={token}".encode() + b"\0")
+        digest.update(b"\2")
+    assert len(artifacts.ecosystem.networks) == 22
+    assert digest.hexdigest() == "df7a72188a602656d1b7cf4acd8ee7b7"

@@ -1,6 +1,8 @@
 """Tests for the rate-limiting primitives."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.graphapi.ratelimit import (
     PolicyEnforcer,
@@ -80,26 +82,27 @@ def test_enforcer_rebuilds_on_policy_change():
 def test_enforcer_ip_limits_disabled_by_default():
     enforcer = PolicyEnforcer(RateLimitPolicy())
     for i in range(1000):
-        assert enforcer.admit_ip_like("1.2.3.4", i) is None
+        # A fresh token per like keeps the per-token budget out of it.
+        assert enforcer.admit_like(f"t{i}", "1.2.3.4", i) is None
 
 
 def test_enforcer_ip_daily_and_weekly():
     policy = RateLimitPolicy(ip_likes_per_day=2, ip_likes_per_week=3)
     enforcer = PolicyEnforcer(policy)
-    assert enforcer.admit_ip_like("ip", 0) is None
-    assert enforcer.admit_ip_like("ip", 1) is None
-    assert enforcer.admit_ip_like("ip", 2) == "daily"
+    assert enforcer.admit_like("t", "ip", 0) is None
+    assert enforcer.admit_like("t", "ip", 1) is None
+    assert enforcer.admit_like("t", "ip", 2) == "daily"
     # Next day the daily window clears but the weekly one still counts.
     later = DAY + HOUR
-    assert enforcer.admit_ip_like("ip", later) is None
-    assert enforcer.admit_ip_like("ip", later + 1) == "weekly"
+    assert enforcer.admit_like("t", "ip", later) is None
+    assert enforcer.admit_like("t", "ip", later + 1) == "weekly"
 
 
 def test_enforcer_missing_ip_never_limited():
     policy = RateLimitPolicy(ip_likes_per_day=1)
     enforcer = PolicyEnforcer(policy)
     for i in range(10):
-        assert enforcer.admit_ip_like(None, i) is None
+        assert enforcer.admit_like("t", None, i) is None
 
 
 def test_saturation_memo_survives_lazy_eviction():
@@ -128,8 +131,53 @@ def test_saturation_memo_cleared_on_expiry_probe():
     limiter = SlidingWindowLimiter(limit=1, window_seconds=100)
     assert limiter.try_acquire("k", 0)
     assert not limiter.try_acquire("k", 50)
-    assert limiter.saturated("k", 60)
+    assert limiter.full("k", 60)
     # Probing at/after expiry deletes the memo entry (lazy eviction).
-    assert not limiter.saturated("k", 100)
+    assert not limiter.full("k", 100)
     assert "k" not in limiter._saturated_until
     assert limiter.try_acquire("k", 100)
+
+
+def _limiter_state(limiter):
+    if limiter is None:
+        return None
+    return ({key: tuple(events) for key, events in limiter._events.items()},
+            dict(limiter._saturated_until))
+
+
+def _enforcer_state(enforcer):
+    return tuple(_limiter_state(limiter) for limiter in (
+        enforcer._token_limiter, enforcer._ip_day_limiter,
+        enforcer._ip_week_limiter))
+
+
+_GAPS = (0, 1, HOUR, DAY - 1, DAY, DAY + 1, 3 * DAY, 7 * DAY)
+_ENTRY = st.tuples(st.sampled_from(("t0", "t1", "t2", "t3")),
+                   st.sampled_from((None, "ip0", "ip1", "ip2")))
+
+
+@given(token_limit=st.integers(min_value=1, max_value=5),
+       ip_day=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+       ip_week=st.one_of(st.none(), st.integers(min_value=1, max_value=10)),
+       waves=st.lists(st.tuples(st.sampled_from(_GAPS),
+                                st.lists(_ENTRY, max_size=12)),
+                      max_size=8))
+def test_wave_admission_matches_scalar_admit_like(token_limit, ip_day,
+                                                  ip_week, waves):
+    """A wave (``like_wave`` + ``admit`` + ``flush``) gives the verdicts
+    of one ``admit_like`` call per entry at the wave's timestamp, and
+    leaves every window's deques and saturation memos identical."""
+    policy = dict(token_actions_per_day=token_limit,
+                  ip_likes_per_day=ip_day, ip_likes_per_week=ip_week)
+    wave_side = PolicyEnforcer(RateLimitPolicy(**policy))
+    scalar_side = PolicyEnforcer(RateLimitPolicy(**policy))
+    now = 0
+    for gap, entries in waves:
+        now += gap
+        admitter = wave_side.like_wave(now)
+        wave_verdicts = [admitter.admit(token, ip) for token, ip in entries]
+        admitter.flush()
+        scalar_verdicts = [scalar_side.admit_like(token, ip, now)
+                           for token, ip in entries]
+        assert wave_verdicts == scalar_verdicts
+        assert _enforcer_state(wave_side) == _enforcer_state(scalar_side)
